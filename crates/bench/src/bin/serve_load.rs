@@ -694,9 +694,7 @@ fn closed_loop(
 fn device_share_seconds(resp: &ssam_serve::Response) -> f64 {
     match &resp.account {
         ssam_serve::DeviceAccount::Device { batch, .. } => batch.seconds_per_query,
-        ssam_serve::DeviceAccount::Cluster(t) => t.seconds,
-        ssam_serve::DeviceAccount::Store { seconds, .. }
-        | ssam_serve::DeviceAccount::Sharded { seconds, .. } => *seconds,
+        ssam_serve::DeviceAccount::Store { seconds, .. } => *seconds,
     }
 }
 
@@ -997,7 +995,7 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
             let v = queries.get(query_index(cursor, nq)).to_vec();
             cursor += 1;
             let w0 = Instant::now();
-            match handle.insert_routed(uid, &v) {
+            match handle.insert(uid, &v) {
                 Ok(ack) => {
                     insert_ms.push(w0.elapsed().as_secs_f64() * 1e3);
                     acked_failed_over += u64::from(ack.failed_over);
@@ -1008,7 +1006,7 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
         } else if op < spec.insert + spec.delete {
             let uid = rng.random_range(0..churn_uids);
             let w0 = Instant::now();
-            match handle.delete_routed(uid) {
+            match handle.delete(uid) {
                 Ok(ack) => {
                     delete_ms.push(w0.elapsed().as_secs_f64() * 1e3);
                     acked_failed_over += u64::from(ack.failed_over);

@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use rayon::prelude::*;
-use ssam_faults::{FaultPlan, FaultRecord};
+use ssam_faults::{FaultPlan, FaultRecord, ModuleHealth};
 use ssam_knn::topk::{Neighbor, TopK};
 use ssam_knn::VectorStore;
 
@@ -28,17 +28,6 @@ use crate::sim::pu::SimError;
 use crate::telemetry::{self, Phases, QueryRecord, RecordKind, Telemetry, VaultAccount};
 
 use super::{DeviceQuery, QueryTiming, SsamConfig, SsamDevice};
-
-/// Per-module health bookkeeping for fault-tolerant dispatch.
-#[derive(Debug, Clone, Default)]
-struct ModuleHealth {
-    /// Batches in a row that needed a retry (or died outright).
-    consecutive_faults: u32,
-    /// A degraded module is skipped except for periodic probes.
-    degraded: bool,
-    /// Batches skipped since the last live probe of a degraded module.
-    batches_since_probe: u64,
-}
 
 /// What happened to one module during a fault-tolerant batch.
 enum ModuleOutcome {
@@ -161,7 +150,7 @@ impl SsamCluster {
     /// Per-module degraded flags (true = health-aware dispatch is
     /// routing around the module, pending a recovery probe).
     pub fn degraded_modules(&self) -> Vec<bool> {
-        self.health.iter().map(|h| h.degraded).collect()
+        self.health.iter().map(ModuleHealth::degraded).collect()
     }
 
     /// Attaches a telemetry sink; every subsequent query records a
@@ -191,14 +180,6 @@ impl SsamCluster {
     /// Whether the cluster holds no data.
     pub fn is_empty(&self) -> bool {
         self.vectors == 0
-    }
-
-    /// Expected query length (feature dimensionality) for the loaded
-    /// dataset — the cluster-level twin of
-    /// [`SsamDevice::query_len`](super::SsamDevice::query_len), used by
-    /// the serving runtime's admission control.
-    pub fn query_len(&self) -> Option<usize> {
-        self.modules.first().and_then(|m| m.query_len())
     }
 
     /// Executes one Euclidean query across the whole cluster — the
@@ -244,98 +225,64 @@ impl SsamCluster {
         // Health-aware dispatch: a degraded module is routed around,
         // except every `probe_interval` batches when it gets a live probe
         // to detect recovery.
-        let dispatch: Vec<bool> = self
-            .health
-            .iter()
-            .map(|h| {
-                !h.degraded
-                    || plan
-                        .as_ref()
-                        .is_some_and(|p| h.batches_since_probe + 1 >= p.policy.probe_interval)
-            })
-            .collect();
+        let dispatch: Vec<bool> = match &plan {
+            Some(p) => self
+                .health
+                .iter_mut()
+                .map(|h| !h.route_around(&p.policy))
+                .collect(),
+            None => vec![true; self.modules.len()],
+        };
         let outcomes: Result<Vec<ModuleOutcome>, SimError> = self
             .modules
             .par_iter_mut()
             .enumerate()
             .map(|(mi, dev)| {
-                let dq: Vec<DeviceQuery<'_>> =
-                    queries.iter().map(|q| DeviceQuery::Euclidean(q)).collect();
-                let per_query = |batch: super::BatchResult| {
-                    batch
-                        .results
-                        .into_iter()
-                        .map(|r| (r.neighbors, r.timing, r.faults))
-                        .collect()
-                };
-                let Some(plan) = &plan else {
-                    let batch = dev.query_batch(&dq, k)?;
-                    return Ok(ModuleOutcome::Ran {
-                        per_query: per_query(batch),
-                        retries: 0,
-                    });
-                };
                 if !dispatch[mi] {
                     return Ok(ModuleOutcome::Skipped);
                 }
-                let mut attempt = 0u64;
-                loop {
-                    if plan.module_outage(0, batch_seq, mi as u64, attempt) {
-                        attempt += 1;
-                        if attempt > u64::from(plan.policy.max_module_retries) {
-                            return Ok(ModuleOutcome::Dead { attempts: attempt });
-                        }
-                        continue;
-                    }
-                    let batch = if attempt == 0 {
-                        dev.query_batch(&dq, k)?
-                    } else {
-                        // Failover: re-dispatch the batch on a standby
-                        // replica (a clone of the module), then promote
-                        // the replica to primary. The bumped attempt
-                        // gives the replica a fresh — but still
-                        // deterministic — fault sample.
-                        let mut replica = dev.clone();
-                        replica.set_fault_attempt(attempt);
-                        let b = replica.query_batch(&dq, k)?;
-                        *dev = replica;
-                        dev.set_fault_attempt(0);
-                        b
-                    };
-                    return Ok(ModuleOutcome::Ran {
-                        per_query: per_query(batch),
-                        retries: attempt,
-                    });
+                let dq: Vec<DeviceQuery<'_>> =
+                    queries.iter().map(|q| DeviceQuery::Euclidean(q)).collect();
+                let (attempt, up) = plan
+                    .as_ref()
+                    .map_or((0, true), |p| p.module_attempts(0, batch_seq, mi as u64));
+                if !up {
+                    return Ok(ModuleOutcome::Dead { attempts: attempt });
                 }
+                let batch = if attempt == 0 {
+                    dev.query_batch(&dq, k)?
+                } else {
+                    // Failover: re-dispatch the batch on a standby replica
+                    // (a clone of the module), then promote the replica to
+                    // primary. The bumped attempt gives the replica a
+                    // fresh — but still deterministic — fault sample.
+                    let mut replica = dev.clone();
+                    replica.set_fault_attempt(attempt);
+                    let b = replica.query_batch(&dq, k)?;
+                    *dev = replica;
+                    dev.set_fault_attempt(0);
+                    b
+                };
+                Ok(ModuleOutcome::Ran {
+                    per_query: batch
+                        .results
+                        .into_iter()
+                        .map(|r| (r.neighbors, r.timing, r.faults))
+                        .collect(),
+                    retries: attempt,
+                })
             })
             .collect();
         let outcomes = outcomes?;
 
-        // Health bookkeeping from this batch's outcomes.
-        if plan.is_some() {
-            let degrade_after = plan.as_ref().map_or(u32::MAX, |p| p.policy.degrade_after);
+        // Health bookkeeping from this batch's outcomes: a run that needed
+        // a failover counts as a miss, like a module that never came up.
+        if let Some(p) = &plan {
             for (out, h) in outcomes.iter().zip(&mut self.health) {
                 match out {
-                    ModuleOutcome::Skipped => h.batches_since_probe += 1,
-                    ModuleOutcome::Dead { .. } => {
-                        h.consecutive_faults += 1;
-                        h.batches_since_probe = 0;
-                        if h.consecutive_faults >= degrade_after {
-                            h.degraded = true;
-                        }
-                    }
-                    ModuleOutcome::Ran { retries, .. } => {
-                        h.batches_since_probe = 0;
-                        if *retries > 0 {
-                            h.consecutive_faults += 1;
-                            if h.consecutive_faults >= degrade_after {
-                                h.degraded = true;
-                            }
-                        } else {
-                            h.consecutive_faults = 0;
-                            h.degraded = false;
-                        }
-                    }
+                    ModuleOutcome::Skipped => {}
+                    ModuleOutcome::Ran { retries: 0, .. } => h.succeed(),
+                    ModuleOutcome::Ran { .. } | ModuleOutcome::Dead { .. } => h.miss(&p.policy),
                 }
             }
         }
@@ -733,7 +680,6 @@ mod tests {
         let q = [0.0f32; 4];
         assert_eq!(cluster.query_batch(&[&q], 0).unwrap_err(), SimError::ZeroK);
         assert_eq!(cluster.query(&q, 0).unwrap_err(), SimError::ZeroK);
-        assert_eq!(cluster.query_len(), Some(4));
     }
 
     #[test]

@@ -79,6 +79,57 @@ impl RecoveryPolicy {
     }
 }
 
+/// Degrade-and-reprobe health of one replicated module, shared by every
+/// health-aware dispatch path (the immutable cluster's modules and the
+/// sharded store's replicas). A module that misses `degrade_after`
+/// touches in a row is degraded: reads route around it, except for one
+/// live probe every `probe_interval` batches, until a clean touch
+/// restores it.
+#[derive(Debug, Clone, Default)]
+pub struct ModuleHealth {
+    /// Consecutive touches that found the module down.
+    consecutive_faults: u32,
+    /// Routed around on reads, except for periodic probes.
+    degraded: bool,
+    /// Read batches routed around since the last live probe.
+    batches_since_probe: u64,
+}
+
+impl ModuleHealth {
+    /// True while reads route around the module.
+    pub fn degraded(&self) -> bool {
+        self.degraded
+    }
+
+    /// Read-path routing for one batch: a degraded module is routed
+    /// around (`true`, counting the skipped batch) until its probe is
+    /// due; otherwise the batch is a live attempt and the probe clock
+    /// restarts.
+    pub fn route_around(&mut self, policy: &RecoveryPolicy) -> bool {
+        if self.degraded && self.batches_since_probe + 1 < policy.probe_interval {
+            self.batches_since_probe += 1;
+            return true;
+        }
+        self.batches_since_probe = 0;
+        false
+    }
+
+    /// Counts one touch that found the module down; the
+    /// `degrade_after`-th miss in a row degrades it.
+    pub fn miss(&mut self, policy: &RecoveryPolicy) {
+        self.consecutive_faults += 1;
+        if self.consecutive_faults >= policy.degrade_after {
+            self.degraded = true;
+        }
+    }
+
+    /// A clean touch: the miss streak resets and the module is restored.
+    pub fn succeed(&mut self) {
+        self.consecutive_faults = 0;
+        self.degraded = false;
+    }
+}
+
 /// A seeded description of the faults to inject. All rates are per
 /// *opportunity*: `bit_flip_rate` is expected ECC events per (query, vault)
 /// scan, `crc_corruption_rate` is per link-transfer attempt, the outage rates
@@ -288,6 +339,23 @@ impl FaultPlan {
         }
         let key_seq = batch_seq.wrapping_mul(0x1_0001).wrapping_add(attempt);
         self.uniform(DOMAIN_MODULE_OUT, scope, key_seq, module, 0) < self.module_outage_rate
+    }
+
+    /// One module touch under the capped-retry failover loop: samples
+    /// [`FaultPlan::module_outage`] for attempts `0, 1, …` until the
+    /// module answers or `policy.max_module_retries` retries are spent.
+    /// Returns the outages seen and whether the module came up; the
+    /// retries taken are `outages` when it did and `outages − 1` when it
+    /// did not, each waiting [`RecoveryPolicy::backoff`].
+    pub fn module_attempts(&self, scope: u64, batch_seq: u64, module: u64) -> (u64, bool) {
+        let mut outages = 0u64;
+        while self.module_outage(scope, batch_seq, module, outages) {
+            outages += 1;
+            if outages > u64::from(self.policy.max_module_retries) {
+                return (outages, false);
+            }
+        }
+        (outages, true)
     }
 
     /// Deterministic victim word index for bit-flip event `event` (caller

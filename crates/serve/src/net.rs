@@ -24,13 +24,15 @@
 //! Write frames target a [`Server::start_store`] or
 //! [`Server::start_sharded_store`] backend; against an immutable
 //! backend they answer with a typed `BadRequest`. A write reply is
-//! status `9` carrying the [`ssam_store::WriteAck`] fields (`seq u64`,
-//! `sealed u8`, `wal_len u64`) from a single-module store, or status
-//! `10` carrying the routed [`ssam_store::ShardWriteAck`] (adds
-//! `shard u32`, `replicas_acked u32`, `failed_over u8`) from a sharded
-//! one — [`decode_write_reply`] accepts either, so single-module
-//! clients work against sharded servers unchanged — or any error
-//! status below.
+//! either any error status below or status `10` carrying the routed
+//! [`ssam_store::ShardWriteAck`] — one layout for every store backend
+//! (a single-module store acks shard 0, one replica, not failed over):
+//!
+//! ```text
+//! [10][seq u64][sealed u8][wal_len u64][shard u32][replicas_acked u32][failed_over u8]
+//! ```
+//!
+//! Status `9` is unassigned.
 //!
 //! ## Reply frame
 //!
@@ -59,7 +61,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ssam_knn::topk::Neighbor;
-use ssam_store::{ShardWriteAck, WriteAck};
+use ssam_store::ShardWriteAck;
 
 use crate::{
     OwnedQuery, Request, Response, ServeError, Server, ServerHandle, ServerStats, TenantId,
@@ -85,8 +87,7 @@ const ST_BAD_REQUEST: u8 = 5;
 const ST_DEVICE: u8 = 6;
 const ST_WORKER_PANICKED: u8 = 7;
 const ST_DEGRADED: u8 = 8;
-const ST_WRITE_OK: u8 = 9;
-const ST_WRITE_OK_SHARDED: u8 = 10;
+const ST_WRITE_OK: u8 = 10;
 const ST_SHARD_UNAVAILABLE: u8 = 11;
 
 const METRIC_EUCLIDEAN: u8 = 0;
@@ -262,6 +263,29 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// Reads a `u32` element count, then that many `width`-byte
+    /// elements. The count is checked against the bytes left *before*
+    /// anything is allocated, so a frame can never reserve more memory
+    /// than it carries.
+    fn array<T>(
+        &mut self,
+        width: usize,
+        mut read: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let count = self.u32()? as usize;
+        let left = self.buf.len() - self.at;
+        if count > left / width {
+            return Err(format!(
+                "frame claims {count} elements of {width} bytes, {left} bytes left"
+            ));
+        }
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            out.push(read(self)?);
+        }
+        Ok(out)
+    }
+
     fn string(&mut self) -> Result<String, String> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
@@ -335,30 +359,11 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, String> {
     let tenant = TenantId(c.u32()?);
     let k = c.u32()? as usize;
     let timeout_us = c.u64()?;
-    let metric = c.u8()?;
-    let count = c.u32()? as usize;
-    if count > MAX_FRAME / 4 {
-        return Err(format!("query of {count} elements exceeds the frame cap"));
-    }
-    let query = match metric {
-        METRIC_HAMMING => {
-            let mut q = Vec::with_capacity(count);
-            for _ in 0..count {
-                q.push(c.u32()?);
-            }
-            OwnedQuery::Hamming(q)
-        }
-        METRIC_EUCLIDEAN | METRIC_MANHATTAN | METRIC_COSINE => {
-            let mut q = Vec::with_capacity(count);
-            for _ in 0..count {
-                q.push(c.f32()?);
-            }
-            match metric {
-                METRIC_EUCLIDEAN => OwnedQuery::Euclidean(q),
-                METRIC_MANHATTAN => OwnedQuery::Manhattan(q),
-                _ => OwnedQuery::Cosine(q),
-            }
-        }
+    let query = match c.u8()? {
+        METRIC_EUCLIDEAN => OwnedQuery::Euclidean(c.array(4, Cursor::f32)?),
+        METRIC_MANHATTAN => OwnedQuery::Manhattan(c.array(4, Cursor::f32)?),
+        METRIC_COSINE => OwnedQuery::Cosine(c.array(4, Cursor::f32)?),
+        METRIC_HAMMING => OwnedQuery::Hamming(c.array(4, Cursor::u32)?),
         other => return Err(format!("unknown metric code {other}")),
     };
     c.done()?;
@@ -467,16 +472,12 @@ pub fn decode_reply(payload: &[u8]) -> Result<Result<NetResponse, RemoteError>, 
             let service_seconds = c.f64()?;
             let device_seconds = c.f64()?;
             let energy_mj = c.f64()?;
-            let n = c.u32()? as usize;
-            if n > MAX_FRAME / 8 {
-                return Err(format!("{n} neighbors exceeds the frame cap"));
-            }
-            let mut neighbors = Vec::with_capacity(n);
-            for _ in 0..n {
-                let id = c.u32()?;
-                let dist = c.f32()?;
-                neighbors.push(Neighbor { id, dist });
-            }
+            let neighbors = c.array(8, |c| {
+                Ok(Neighbor {
+                    id: c.u32()?,
+                    dist: c.f32()?,
+                })
+            })?;
             Ok(NetResponse {
                 neighbors,
                 coverage,
@@ -534,18 +535,10 @@ pub fn encode_delete(uid: u32) -> Vec<u8> {
 pub fn decode_write(payload: &[u8]) -> Result<WriteOp, String> {
     let mut c = Cursor::new(payload);
     let op = match c.u8()? {
-        MSG_INSERT => {
-            let uid = c.u32()?;
-            let count = c.u32()? as usize;
-            if count > MAX_FRAME / 4 {
-                return Err(format!("vector of {count} elements exceeds the frame cap"));
-            }
-            let mut vector = Vec::with_capacity(count);
-            for _ in 0..count {
-                vector.push(c.f32()?);
-            }
-            WriteOp::Insert { uid, vector }
-        }
+        MSG_INSERT => WriteOp::Insert {
+            uid: c.u32()?,
+            vector: c.array(4, Cursor::f32)?,
+        },
         MSG_DELETE => WriteOp::Delete { uid: c.u32()? },
         _ => return Err("unknown message type".into()),
     };
@@ -553,37 +546,13 @@ pub fn decode_write(payload: &[u8]) -> Result<WriteOp, String> {
     Ok(op)
 }
 
-/// Encodes one store-write outcome as a reply frame payload.
-pub fn encode_write_reply(reply: &Result<WriteAck, ServeError>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(18);
-    match reply {
-        Ok(ack) => {
-            out.push(ST_WRITE_OK);
-            out.extend_from_slice(&ack.seq.to_le_bytes());
-            out.push(u8::from(ack.sealed));
-            out.extend_from_slice(&ack.wal_len.to_le_bytes());
-        }
-        Err(e) => put_error(&mut out, e),
-    }
-    out
-}
-
-/// Decodes one store-write reply frame payload. Accepts both the plain
-/// (`9`) and sharded (`10`) success statuses — a client written for the
-/// single-module protocol keeps working against a sharded server, the
-/// routing fields are simply dropped.
-pub fn decode_write_reply(payload: &[u8]) -> Result<Result<WriteAck, RemoteError>, String> {
-    decode_routed_write_reply(payload).map(|r| r.map(|ack| ack.ack()))
-}
-
-/// Encodes one sharded-store write outcome: status `10` carrying the
-/// full [`ShardWriteAck`] (`seq u64`, `sealed u8`, `wal_len u64`,
-/// `shard u32`, `replicas_acked u32`, `failed_over u8`).
-pub fn encode_sharded_write_reply(reply: &Result<ShardWriteAck, ServeError>) -> Vec<u8> {
+/// Encodes one store-write outcome as a reply frame payload: status
+/// `10` carrying the routed [`ShardWriteAck`], or an error status.
+pub fn encode_write_reply(reply: &Result<ShardWriteAck, ServeError>) -> Vec<u8> {
     let mut out = Vec::with_capacity(27);
     match reply {
         Ok(ack) => {
-            out.push(ST_WRITE_OK_SHARDED);
+            out.push(ST_WRITE_OK);
             out.extend_from_slice(&ack.seq.to_le_bytes());
             out.push(u8::from(ack.sealed));
             out.extend_from_slice(&ack.wal_len.to_le_bytes());
@@ -604,44 +573,19 @@ fn take_bool(c: &mut Cursor<'_>, what: &str) -> Result<bool, String> {
     }
 }
 
-/// Decodes one write reply into the routed ack, whichever success
-/// status the server used (a plain `9` decodes as the trivial routing:
-/// shard 0, one replica).
-pub fn decode_routed_write_reply(
-    payload: &[u8],
-) -> Result<Result<ShardWriteAck, RemoteError>, String> {
+/// Decodes one store-write reply frame payload into the client-side
+/// outcome.
+pub fn decode_write_reply(payload: &[u8]) -> Result<Result<ShardWriteAck, RemoteError>, String> {
     let mut c = Cursor::new(payload);
-    let status = c.u8()?;
-    let reply = match status {
-        ST_WRITE_OK => {
-            let seq = c.u64()?;
-            let sealed = take_bool(&mut c, "sealed")?;
-            let wal_len = c.u64()?;
-            Ok(ShardWriteAck {
-                shard: 0,
-                seq,
-                sealed,
-                wal_len,
-                replicas_acked: 1,
-                failed_over: false,
-            })
-        }
-        ST_WRITE_OK_SHARDED => {
-            let seq = c.u64()?;
-            let sealed = take_bool(&mut c, "sealed")?;
-            let wal_len = c.u64()?;
-            let shard = c.u32()? as usize;
-            let replicas_acked = c.u32()? as usize;
-            let failed_over = take_bool(&mut c, "failed_over")?;
-            Ok(ShardWriteAck {
-                shard,
-                seq,
-                sealed,
-                wal_len,
-                replicas_acked,
-                failed_over,
-            })
-        }
+    let reply = match c.u8()? {
+        ST_WRITE_OK => Ok(ShardWriteAck {
+            seq: c.u64()?,
+            sealed: take_bool(&mut c, "sealed")?,
+            wal_len: c.u64()?,
+            shard: c.u32()? as usize,
+            replicas_acked: c.u32()? as usize,
+            failed_over: take_bool(&mut c, "failed_over")?,
+        }),
         other => Err(take_error(other, &mut c)?),
     };
     c.done()?;
@@ -847,17 +791,6 @@ fn connection_loop(mut stream: TcpStream, handle: &ServerHandle, stop: &AtomicBo
             Ok(None) | Err(_) => return, // clean close, drain, or transport error
         };
         let frame = match payload.first() {
-            // A sharded backend answers writes with the routed reply
-            // frame (status 10); the plain store keeps the original
-            // status-9 frame so its wire format is unchanged.
-            Some(&MSG_INSERT) | Some(&MSG_DELETE) if handle.backend_is_sharded() => {
-                let reply = match decode_write(&payload) {
-                    Ok(WriteOp::Insert { uid, vector }) => handle.insert_routed(uid, &vector),
-                    Ok(WriteOp::Delete { uid }) => handle.delete_routed(uid),
-                    Err(_) => Err(ServeError::BadRequest("malformed write frame")),
-                };
-                encode_sharded_write_reply(&reply)
-            }
             Some(&MSG_INSERT) | Some(&MSG_DELETE) => {
                 let reply = match decode_write(&payload) {
                     Ok(WriteOp::Insert { uid, vector }) => handle.insert(uid, &vector),
@@ -913,43 +846,24 @@ impl NetClient {
         }
     }
 
-    /// Inserts (or updates) `uid` in the server's mutable store. Against
-    /// an immutable backend this comes back as a typed
-    /// [`RemoteError::BadRequest`].
-    pub fn insert(&mut self, uid: u32, vector: &[f32]) -> Result<WriteAck, ClientError> {
+    /// Inserts (or updates) `uid` in the server's mutable store,
+    /// returning the routed [`ShardWriteAck`] (shard 0, one replica, from
+    /// a single-module store). Against an immutable backend this comes
+    /// back as a typed [`RemoteError::BadRequest`].
+    pub fn insert(&mut self, uid: u32, vector: &[f32]) -> Result<ShardWriteAck, ClientError> {
         self.write_op(&encode_insert(uid, vector))
     }
 
     /// Deletes `uid` from the server's mutable store.
-    pub fn delete(&mut self, uid: u32) -> Result<WriteAck, ClientError> {
+    pub fn delete(&mut self, uid: u32) -> Result<ShardWriteAck, ClientError> {
         self.write_op(&encode_delete(uid))
     }
 
-    fn write_op(&mut self, frame: &[u8]) -> Result<WriteAck, ClientError> {
-        self.write_op_routed(frame).map(|ack| ack.ack())
-    }
-
-    /// Inserts (or updates) `uid`, returning the full routed
-    /// [`ShardWriteAck`] when the server shards its store (a plain
-    /// store backend reports the trivial routing).
-    pub fn insert_routed(
-        &mut self,
-        uid: u32,
-        vector: &[f32],
-    ) -> Result<ShardWriteAck, ClientError> {
-        self.write_op_routed(&encode_insert(uid, vector))
-    }
-
-    /// Deletes `uid`, returning the full routed [`ShardWriteAck`].
-    pub fn delete_routed(&mut self, uid: u32) -> Result<ShardWriteAck, ClientError> {
-        self.write_op_routed(&encode_delete(uid))
-    }
-
-    fn write_op_routed(&mut self, frame: &[u8]) -> Result<ShardWriteAck, ClientError> {
+    fn write_op(&mut self, frame: &[u8]) -> Result<ShardWriteAck, ClientError> {
         write_frame(&mut self.stream, frame)?;
         let payload = read_frame(&mut self.stream, None)?
             .ok_or_else(|| ClientError::Protocol("server closed before replying".into()))?;
-        match decode_routed_write_reply(&payload) {
+        match decode_write_reply(&payload) {
             Ok(Ok(ack)) => Ok(ack),
             Ok(Err(remote)) => Err(ClientError::Remote(remote)),
             Err(why) => Err(ClientError::Protocol(why)),
@@ -1048,10 +962,13 @@ mod tests {
 
     #[test]
     fn write_replies_round_trip_ack_and_errors() {
-        let ack = WriteAck {
+        let ack = ShardWriteAck {
+            shard: 0,
             seq: 41,
             sealed: true,
             wal_len: 12_345,
+            replicas_acked: 1,
+            failed_over: false,
         };
         assert_eq!(
             decode_write_reply(&encode_write_reply(&Ok(ack))).expect("decodes"),
@@ -1071,7 +988,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_write_replies_round_trip_and_downgrade() {
+    fn sharded_write_replies_round_trip() {
         let ack = ShardWriteAck {
             shard: 5,
             seq: 77,
@@ -1080,28 +997,22 @@ mod tests {
             replicas_acked: 2,
             failed_over: true,
         };
-        let frame = encode_sharded_write_reply(&Ok(ack));
-        // The routed decode round-trips every field.
-        assert_eq!(decode_routed_write_reply(&frame).expect("decodes"), Ok(ack));
-        // A single-module client decodes the same frame, dropping the
-        // routing fields.
-        assert_eq!(decode_write_reply(&frame).expect("decodes"), Ok(ack.ack()));
-        // And a routed client decodes a plain status-9 frame as the
-        // trivial routing.
-        let plain = encode_write_reply(&Ok(ack.ack()));
-        let routed = decode_routed_write_reply(&plain)
-            .expect("decodes")
-            .expect("ok");
-        assert_eq!(routed.shard, 0);
-        assert_eq!(routed.replicas_acked, 1);
-        assert!(!routed.failed_over);
-        assert_eq!(routed.ack(), ack.ack());
+        // Every routed field round-trips.
+        let frame = encode_write_reply(&Ok(ack));
+        assert_eq!(decode_write_reply(&frame).expect("decodes"), Ok(ack));
         // Typed refusal crosses the wire.
-        let refused = encode_sharded_write_reply(&Err(ServeError::ShardUnavailable { shard: 5 }));
+        let refused = encode_write_reply(&Err(ServeError::ShardUnavailable { shard: 5 }));
         assert_eq!(
-            decode_routed_write_reply(&refused).expect("decodes"),
+            decode_write_reply(&refused).expect("decodes"),
             Err(RemoteError::ShardUnavailable { shard: 5 })
         );
+    }
+
+    /// `frame` with its trailing `u32` element count replaced by `count`.
+    fn claiming(mut frame: Vec<u8>, count: u32) -> Vec<u8> {
+        let at = frame.len() - 4;
+        frame[at..].copy_from_slice(&count.to_le_bytes());
+        frame
     }
 
     #[test]
@@ -1117,5 +1028,55 @@ mod tests {
         let mut frame = encode_request(&Request::new(OwnedQuery::Euclidean(vec![1.0]), 3));
         frame.push(0);
         assert!(decode_request(&frame).is_err());
+
+        // Element counts the frame cannot hold are refused before any
+        // allocation sized by them: a 22-byte query frame claiming 2^22
+        // floats, a 9-byte insert claiming as many, a 49-byte reply
+        // claiming 2^21 neighbors.
+        let over = (MAX_FRAME / 4) as u32;
+        let query = claiming(
+            encode_request(&Request::new(OwnedQuery::Euclidean(Vec::new()), 3)),
+            over,
+        );
+        assert_eq!(query.len(), 22);
+        let insert = claiming(encode_insert(7, &[]), over);
+        assert_eq!(insert.len(), 9);
+        let mut reply = vec![ST_OK];
+        reply.extend_from_slice(&[0; 48]);
+        let reply = claiming(reply, (MAX_FRAME / 8) as u32);
+        assert_eq!(reply.len(), 49);
+        for err in [
+            decode_request(&query).map(drop),
+            decode_write(&insert).map(drop),
+            decode_reply(&reply).map(drop),
+        ] {
+            assert!(err.expect_err("over-claiming frame").contains("claims"));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes, bare and behind every message type and a
+        /// low status byte (so decoding gets past the first check),
+        /// decode to a value or a typed error — never a panic.
+        #[test]
+        fn decoders_never_panic_on_arbitrary_bytes(
+            lead in 0u8..16,
+            bytes in proptest::collection::vec(0u8..=255, 0..96),
+        ) {
+            let mut frames = vec![bytes.clone()];
+            for first in [lead, MSG_QUERY, MSG_INSERT, MSG_DELETE] {
+                let mut frame = vec![first];
+                frame.extend_from_slice(&bytes);
+                frames.push(frame);
+            }
+            for frame in &frames {
+                let _ = decode_request(frame);
+                let _ = decode_write(frame);
+                let _ = decode_reply(frame);
+                let _ = decode_write_reply(frame);
+            }
+        }
     }
 }

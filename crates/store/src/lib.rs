@@ -186,7 +186,7 @@ impl Recovery {
 }
 
 /// Result of one store query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StoreQueryResult {
     /// Exact top-k over the visible (live) set, best first.
     pub neighbors: Vec<Neighbor>,
@@ -212,6 +212,43 @@ impl StoreQueryResult {
     pub fn coverage(&self) -> f64 {
         self.faults.coverage()
     }
+}
+
+/// The device query `q` makes under `metric`; a mutable store serves
+/// the linear float kernels only.
+fn linear_query(q: &[f32], metric: DeviceMetric) -> Result<DeviceQuery<'_>, StoreError> {
+    match metric {
+        DeviceMetric::Euclidean => Ok(DeviceQuery::Euclidean(q)),
+        DeviceMetric::Manhattan => Ok(DeviceQuery::Manhattan(q)),
+        DeviceMetric::Cosine | DeviceMetric::Hamming => Err(StoreError::UnsupportedMetric),
+    }
+}
+
+/// Checks a read batch against a store of `dims`-dimensional vectors,
+/// returning each query's floats and metric.
+fn linear_batch<'q>(
+    queries: &[DeviceQuery<'q>],
+    k: usize,
+    dims: usize,
+) -> Result<Vec<(&'q [f32], DeviceMetric)>, StoreError> {
+    if k == 0 {
+        return Err(StoreError::ZeroK);
+    }
+    queries
+        .iter()
+        .map(|dq| {
+            let (DeviceQuery::Euclidean(q) | DeviceQuery::Manhattan(q)) = *dq else {
+                return Err(StoreError::UnsupportedMetric);
+            };
+            if q.len() != dims {
+                return Err(StoreError::DimsMismatch {
+                    expected: dims,
+                    got: q.len(),
+                });
+            }
+            Ok((q, dq.metric()))
+        })
+        .collect()
 }
 
 /// Cumulative lifecycle counters, exposed for benches and smokes.
@@ -843,75 +880,83 @@ impl Store {
         true
     }
 
-    /// Exact top-k over the visible set: the memtable is scanned
-    /// host-side through the device's own distance arithmetic, each
-    /// segment executes a device query over-fetched by its stale count,
-    /// and candidates merge through the shared `(distance, id)` order
-    /// with invisible (superseded / tombstoned) candidates suppressed.
+    /// Exact top-k over the visible set for one query — the batch-of-1
+    /// case of [`Store::query_batch`].
     ///
     /// # Errors
-    /// [`StoreError::ZeroK`], [`StoreError::DimsMismatch`],
-    /// [`StoreError::UnsupportedMetric`] (only Euclidean and Manhattan
-    /// run against a mutable store), or a segment [`StoreError::Device`]
-    /// failure.
+    /// As [`Store::query_batch`].
     pub fn query(
         &mut self,
         q: &[f32],
         metric: DeviceMetric,
         k: usize,
     ) -> Result<StoreQueryResult, StoreError> {
-        if k == 0 {
-            return Err(StoreError::ZeroK);
+        let mut out = self.query_batch(&[linear_query(q, metric)?], k)?;
+        Ok(out.pop().expect("one result per query"))
+    }
+
+    /// Exact top-k over the visible set for a batch of queries, each
+    /// bit-identical to its own [`Store::query`]: every query scans the
+    /// memtable host-side through the device's own distance arithmetic,
+    /// each segment runs one device batch over all the queries,
+    /// over-fetched by its stale count, and candidates merge through the
+    /// shared `(distance, id)` order with invisible (superseded /
+    /// tombstoned) candidates suppressed.
+    ///
+    /// # Errors
+    /// [`StoreError::ZeroK`], [`StoreError::UnsupportedMetric`] (only
+    /// Euclidean and Manhattan run against a mutable store),
+    /// [`StoreError::DimsMismatch`], or a segment [`StoreError::Device`]
+    /// failure.
+    pub fn query_batch(
+        &mut self,
+        queries: &[DeviceQuery<'_>],
+        k: usize,
+    ) -> Result<Vec<StoreQueryResult>, StoreError> {
+        let linear = linear_batch(queries, k, self.config.dims)?;
+        if queries.is_empty() {
+            return Ok(Vec::new());
         }
-        if q.len() != self.config.dims {
-            return Err(StoreError::DimsMismatch {
-                expected: self.config.dims,
-                got: q.len(),
-            });
+        let scanned = self.memtable.len();
+        let mut tops = Vec::with_capacity(queries.len());
+        for (q, metric) in linear {
+            let qwords = self.quantize(q);
+            let mut top = TopK::new(k);
+            for (&uid, sv) in &self.memtable {
+                let raw = raw_distance(metric, &qwords, &sv.words);
+                top.offer(uid, Fix32(raw).to_f32());
+            }
+            tops.push(top);
         }
-        if !matches!(metric, DeviceMetric::Euclidean | DeviceMetric::Manhattan) {
-            return Err(StoreError::UnsupportedMetric);
-        }
-        let qwords = self.quantize(q);
-        let mut top = TopK::new(k);
-        let mut faults = FaultRecord::default();
-        let memtable_scanned = self.memtable.len();
-        for (&uid, sv) in &self.memtable {
-            let raw = raw_distance(metric, &qwords, &sv.words);
-            top.offer(uid, Fix32(raw).to_f32());
-        }
-        faults.covered_vectors += memtable_scanned as u64;
-        faults.total_vectors += memtable_scanned as u64;
-        let mut device_seconds = 0.0f64;
-        let mut energy_mj = 0.0f64;
-        let mut segments_scanned = 0usize;
-        let mut suppressed = 0usize;
-        let dq = match metric {
-            DeviceMetric::Euclidean => DeviceQuery::Euclidean(q),
-            DeviceMetric::Manhattan => DeviceQuery::Manhattan(q),
-            _ => unreachable!("metric validated above"),
-        };
-        let index = std::mem::take(&mut self.index);
-        let mut device_err = None;
-        'levels: for level in &mut self.levels {
-            for seg in level {
-                // Over-fetch by the segment's stale count so the k best
-                // *visible* entries are guaranteed to be in the window.
-                let k_eff = k + seg.stale;
-                let result = match seg.device.query(&dq, k_eff) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        device_err = Some(e);
-                        break 'levels;
-                    }
-                };
-                segments_scanned += 1;
-                device_seconds = device_seconds.max(result.timing.seconds);
-                energy_mj += result.timing.energy_mj;
-                faults.accumulate(&result.faults);
+        let mut out = vec![
+            StoreQueryResult {
+                memtable_scanned: scanned,
+                faults: FaultRecord {
+                    covered_vectors: scanned as u64,
+                    total_vectors: scanned as u64,
+                    ..FaultRecord::default()
+                },
+                ..StoreQueryResult::default()
+            };
+            queries.len()
+        ];
+        for seg in self.levels.iter_mut().flatten() {
+            // Over-fetch by the segment's stale count so the k best
+            // *visible* entries are guaranteed to be in the window.
+            let batch = seg.device.query_batch(queries, k + seg.stale)?;
+            for ((r, top), result) in out.iter_mut().zip(&mut tops).zip(&batch.results) {
+                r.segments_scanned += 1;
+                r.device_seconds = r.device_seconds.max(result.timing.seconds);
+                r.energy_mj += result.timing.energy_mj;
+                // A fault-free run accounts nothing, as it does alone:
+                // only a batch that faulted elsewhere gives its clean
+                // members a (fully covered) record.
+                if !result.faults.is_trivial() {
+                    r.faults.accumulate(&result.faults);
+                }
                 for n in &result.neighbors {
                     let entry = &seg.entries[n.id as usize];
-                    let visible = index.get(&entry.uid)
+                    let visible = self.index.get(&entry.uid)
                         == Some(&IndexEntry {
                             seq: entry.seq,
                             loc: Loc::Segment(seg.id),
@@ -919,24 +964,15 @@ impl Store {
                     if visible {
                         top.offer(entry.uid, n.dist);
                     } else {
-                        suppressed += 1;
+                        r.suppressed += 1;
                     }
                 }
             }
         }
-        self.index = index;
-        if let Some(e) = device_err {
-            return Err(StoreError::Device(e));
+        for (r, top) in out.iter_mut().zip(tops) {
+            r.neighbors = top.into_sorted();
         }
-        Ok(StoreQueryResult {
-            neighbors: top.into_sorted(),
-            device_seconds,
-            energy_mj,
-            segments_scanned,
-            memtable_scanned,
-            suppressed,
-            faults,
-        })
+        Ok(out)
     }
 
     /// The visible set, uid-ascending: `(uid, vector)` for every live

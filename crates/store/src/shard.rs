@@ -17,14 +17,15 @@
 //!   [`FaultPlan`] outage makes unreachable miss the write, which is
 //!   queued and replayed (in order) the moment the module is reachable
 //!   again — writes *fail over to the replica WAL* rather than failing.
-//! * **Reads** — scatter-gather: one healthy, caught-up replica per
-//!   shard executes the query; per-shard exact top-k merge through the
-//!   shared `(distance, id)` order is bit-identical to a single-module
-//!   store over the union live set. Downed replicas degrade-and-reprobe
-//!   with capped backoff, mirroring `SsamCluster`'s `degrade_after` /
-//!   `probe_interval` health machine. A shard with *no* reachable
-//!   replica is reported as lost coverage — honest per-query coverage,
-//!   like the immutable cluster path.
+//! * **Reads** — scatter-gather: each query is routed to one healthy,
+//!   caught-up replica per shard, every chosen module runs one store
+//!   batch over the queries routed to it, and per-shard exact top-k
+//!   merge through the shared `(distance, id)` order is bit-identical to
+//!   a single-module store over the union live set. Downed replicas
+//!   degrade-and-reprobe with capped backoff through the same
+//!   [`ModuleHealth`] machine `SsamCluster` uses. A shard with *no*
+//!   reachable replica is reported as lost coverage — honest per-query
+//!   coverage, like the immutable cluster path.
 //! * **Recovery** — [`ShardedStore::open`] recovers each module from
 //!   its own WAL prefix (any vector of prefixes: crashes tear each
 //!   module independently via [`CrashSpec::torn_tail_for`]), then runs
@@ -36,21 +37,21 @@
 //!
 //! The write-path fault accounting lives in a [`WriteFaultLedger`]
 //! (outages, failovers, refusals, catch-up) kept separate from the
-//! per-query [`FaultRecord`]s so the telemetry sink's closure invariants
-//! stay exact.
+//! per-query [`FaultRecord`](ssam_faults::FaultRecord)s so the telemetry
+//! sink's closure invariants stay exact.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use ssam_core::device::DeviceMetric;
+use ssam_core::device::{DeviceMetric, DeviceQuery};
 use ssam_core::telemetry::{ModuleShardAccount, ShardAccount, Telemetry};
-use ssam_faults::{CrashSpec, FaultPlan, FaultRecord, RecoveryPolicy};
+use ssam_faults::{CrashSpec, FaultPlan, ModuleHealth, RecoveryPolicy};
 use ssam_hmc::address::AddressMap;
 use ssam_knn::topk::TopK;
 
 use crate::{
-    decode_stream, Recovery, Snapshot, Store, StoreConfig, StoreError, StoreQueryResult,
-    StoreStats, WalRecord, WriteAck,
+    decode_stream, linear_batch, linear_query, Recovery, Snapshot, Store, StoreConfig, StoreError,
+    StoreQueryResult, StoreStats, WalRecord, WriteAck,
 };
 
 /// Outage-sampling scope for the sharded write path (distinct from the
@@ -83,9 +84,10 @@ impl ShardedStoreConfig {
     }
 }
 
-/// Acknowledgment for one accepted sharded write: which shard took it,
+/// Acknowledgment for one accepted write, routed: which shard took it,
 /// how many replicas applied it, and whether the primary was routed
-/// around.
+/// around. A single-module store's write is shard 0, one replica, never
+/// failed over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardWriteAck {
     /// Shard the uid hashed onto.
@@ -104,14 +106,16 @@ pub struct ShardWriteAck {
     pub failed_over: bool,
 }
 
-impl ShardWriteAck {
-    /// The single-module view of this ack (seq / sealed / wal_len of
-    /// the serving replica).
-    pub fn ack(&self) -> WriteAck {
-        WriteAck {
-            seq: self.seq,
-            sealed: self.sealed,
-            wal_len: self.wal_len,
+impl From<WriteAck> for ShardWriteAck {
+    /// The routed image of a single-module write.
+    fn from(ack: WriteAck) -> Self {
+        ShardWriteAck {
+            shard: 0,
+            seq: ack.seq,
+            sealed: ack.sealed,
+            wal_len: ack.wal_len,
+            replicas_acked: 1,
+            failed_over: false,
         }
     }
 }
@@ -129,10 +133,11 @@ pub struct ShardRecovery {
 }
 
 /// Write-path fault accounting. Kept apart from the per-query
-/// [`FaultRecord`] ledger: these counters describe ingest-side events
-/// (missed replicas, refusals, catch-up) whose closure rule is "every
-/// missed write is eventually replayed", checked by
-/// [`WriteFaultLedger::check_closure`] against the live pending depth.
+/// [`FaultRecord`](ssam_faults::FaultRecord) ledger: these counters
+/// describe ingest-side events (missed replicas, refusals, catch-up)
+/// whose closure rule is "every missed write is eventually replayed",
+/// checked by [`WriteFaultLedger::check_closure`] against the live
+/// pending depth.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WriteFaultLedger {
     /// Replica write attempts that found the module unreachable
@@ -180,17 +185,6 @@ impl WriteFaultLedger {
     }
 }
 
-/// Health machine per module, mirroring the cluster's.
-#[derive(Debug, Clone, Default)]
-struct ModuleHealth {
-    /// Consecutive touches (read or write) that found the module down.
-    consecutive_faults: u32,
-    /// A degraded module is routed around on reads except for probes.
-    degraded: bool,
-    /// Read batches skipped since the last probe of a degraded module.
-    batches_since_probe: u64,
-}
-
 /// One replica module: a full store plus failover state.
 #[derive(Debug, Clone)]
 struct ModuleState {
@@ -202,6 +196,16 @@ struct ModuleState {
     /// Writes this module missed while unreachable, in sequence order;
     /// drained through the normal apply path when it is next reachable.
     pending: VecDeque<WalRecord>,
+}
+
+/// One read's scatter plan: the module serving each shard (`None` when
+/// no replica is reachable) and the failover accounting its routing
+/// incurred.
+struct ReadRoute {
+    serving: Vec<Option<usize>>,
+    outages: u64,
+    backoff: f64,
+    failed_over: u64,
 }
 
 /// N shards × R replicas of mutable [`Store`] modules with failover
@@ -456,7 +460,7 @@ impl ShardedStore {
     /// Per-module degraded flags (reads route around `true` modules
     /// except for periodic probes).
     pub fn degraded_modules(&self) -> Vec<bool> {
-        self.modules.iter().map(|m| m.health.degraded).collect()
+        self.modules.iter().map(|m| m.health.degraded()).collect()
     }
 
     /// Per-module missed-write queue depths.
@@ -481,10 +485,10 @@ impl ShardedStore {
     }
 
     /// Availability of module `m` for one touch: forced outages fail
-    /// immediately; otherwise the fault plan's module-outage channel is
-    /// sampled with up to `max_module_retries` retries under capped
-    /// exponential backoff (accumulated into `backoff`), mirroring the
-    /// cluster's failover loop.
+    /// immediately; otherwise the fault plan's capped-retry outage loop
+    /// ([`FaultPlan::module_attempts`]) runs, its outages and retry
+    /// backoff accumulating into `outages` and `backoff` — the cluster's
+    /// failover loop.
     fn module_available(
         &self,
         m: usize,
@@ -500,31 +504,19 @@ impl ShardedStore {
         let Some(plan) = &self.faults else {
             return true;
         };
-        let policy = plan.policy;
-        let mut attempt = 0u64;
-        loop {
-            if plan.module_outage(scope, seq, m as u64, attempt) {
-                attempt += 1;
-                *outages += 1;
-                if attempt > u64::from(policy.max_module_retries) {
-                    return false;
-                }
-                *backoff += policy.backoff(attempt as u32);
-                continue;
-            }
-            return true;
+        let (seen, up) = plan.module_attempts(scope, seq, m as u64);
+        *outages += seen;
+        let retries = if up { seen } else { seen - 1 };
+        for attempt in 1..=retries {
+            *backoff += plan.policy.backoff(attempt as u32);
         }
+        up
     }
 
-    /// One more failed touch on module `m`: degrade after
-    /// `degrade_after` consecutive misses.
+    /// One more failed touch on module `m`.
     fn note_miss(&mut self, m: usize) {
-        let degrade_after = self.policy().degrade_after;
-        let h = &mut self.modules[m].health;
-        h.consecutive_faults += 1;
-        if h.consecutive_faults >= degrade_after {
-            h.degraded = true;
-        }
+        let policy = self.policy();
+        self.modules[m].health.miss(&policy);
     }
 
     /// Replays every write module `m` missed, in sequence order,
@@ -627,9 +619,7 @@ impl ShardedStore {
                 if lead.is_none() {
                     lead = Some(ack);
                 }
-                let h = &mut self.modules[m].health;
-                h.consecutive_faults = 0;
-                h.degraded = false;
+                self.modules[m].health.succeed();
             } else {
                 self.modules[m].pending.push_back(record.clone());
                 let depth = self.modules[m].pending.len();
@@ -660,117 +650,135 @@ impl ShardedStore {
         })
     }
 
-    /// Exact scatter-gather top-k: the first healthy, caught-up replica
-    /// of each shard executes the query and the per-shard results merge
-    /// through the shared `(distance, id)` order — bit-identical to a
-    /// single-module store over the union live set. Degraded replicas
-    /// are routed around except for periodic probes; a downed primary
-    /// fails the read over to the next replica; a shard with no
-    /// reachable replica is reported as lost coverage in the returned
-    /// [`FaultRecord`] (covered < total, `lost_units` names the shard).
+    /// Exact scatter-gather top-k for one query — the batch-of-1 case of
+    /// [`ShardedStore::query_batch`].
     ///
     /// # Errors
-    /// As [`Store::query`].
+    /// As [`Store::query_batch`].
     pub fn query(
         &mut self,
         q: &[f32],
         metric: DeviceMetric,
         k: usize,
     ) -> Result<StoreQueryResult, StoreError> {
-        if k == 0 {
-            return Err(StoreError::ZeroK);
+        let mut out = self.query_batch(&[linear_query(q, metric)?], k)?;
+        Ok(out.pop().expect("one result per query"))
+    }
+
+    /// Exact scatter-gather top-k for a batch of queries, each
+    /// bit-identical to its own [`ShardedStore::query`]. Every query is
+    /// routed, in order, to the first healthy, caught-up replica of each
+    /// shard — drawing the same outage samples and health transitions a
+    /// serial loop would — then each chosen module runs one
+    /// [`Store::query_batch`] over the queries routed to it, and every
+    /// query's per-shard results merge through the shared
+    /// `(distance, id)` order — bit-identical to a single-module store
+    /// over the union live set. Degraded replicas are routed around
+    /// except for periodic probes; a downed primary fails the read over
+    /// to the next replica; a shard with no reachable replica is
+    /// reported as lost coverage in the query's fault record (covered <
+    /// total, `lost_units` names the shard).
+    ///
+    /// # Errors
+    /// As [`Store::query_batch`].
+    pub fn query_batch(
+        &mut self,
+        queries: &[DeviceQuery<'_>],
+        k: usize,
+    ) -> Result<Vec<StoreQueryResult>, StoreError> {
+        linear_batch(queries, k, self.config.store.dims)?;
+        let routes = queries
+            .iter()
+            .map(|_| self.route_read())
+            .collect::<Result<Vec<_>, _>>()?;
+        let replicas = self.config.replicas;
+        let mut answers = Vec::with_capacity(self.modules.len());
+        for (m, module) in self.modules.iter_mut().enumerate() {
+            let routed: Vec<DeviceQuery<'_>> = routes
+                .iter()
+                .zip(queries)
+                .filter(|(route, _)| route.serving[m / replicas] == Some(m))
+                .map(|(_, q)| q.clone())
+                .collect();
+            answers.push(module.store.query_batch(&routed, k)?.into_iter());
         }
-        if q.len() != self.config.store.dims {
-            return Err(StoreError::DimsMismatch {
-                expected: self.config.store.dims,
-                got: q.len(),
-            });
+        let mut out = Vec::with_capacity(queries.len());
+        for route in routes {
+            let mut top = TopK::new(k);
+            let mut merged = StoreQueryResult::default();
+            for (shard, serving) in route.serving.into_iter().enumerate() {
+                let Some(m) = serving else {
+                    // Honest coverage: the shard's acknowledged live
+                    // count goes uncovered. An empty lost shard loses
+                    // nothing (and must not claim a phantom lost unit).
+                    let live = self.shard_live[shard].len() as u64;
+                    merged.faults.total_vectors += live;
+                    if live > 0 {
+                        merged.faults.lost_module += 1;
+                        merged.faults.lost_units.push(shard as u32);
+                    }
+                    continue;
+                };
+                let r = answers[m].next().expect("one answer per routed query");
+                for n in &r.neighbors {
+                    top.offer(n.id, n.dist);
+                }
+                merged.device_seconds = merged.device_seconds.max(r.device_seconds);
+                merged.energy_mj += r.energy_mj;
+                merged.segments_scanned += r.segments_scanned;
+                merged.memtable_scanned += r.memtable_scanned;
+                merged.suppressed += r.suppressed;
+                merged.faults.accumulate(&r.faults);
+            }
+            merged.faults.module_outages += route.outages;
+            merged.faults.failed_over += route.failed_over;
+            merged.faults.recovery_seconds += route.backoff;
+            merged.neighbors = top.into_sorted();
+            out.push(merged);
         }
-        if !matches!(metric, DeviceMetric::Euclidean | DeviceMetric::Manhattan) {
-            return Err(StoreError::UnsupportedMetric);
-        }
+        Ok(out)
+    }
+
+    /// Routes one read: per shard, the first replica that is neither
+    /// routed around as degraded nor down serves it, after replaying the
+    /// writes it missed.
+    fn route_read(&mut self) -> Result<ReadRoute, StoreError> {
         let batch_seq = self.read_batches;
         self.read_batches += 1;
         let policy = self.policy();
-        let mut top = TopK::new(k);
-        let mut faults = FaultRecord::default();
-        let mut device_seconds = 0.0f64;
-        let mut energy_mj = 0.0f64;
-        let mut segments_scanned = 0usize;
-        let mut memtable_scanned = 0usize;
-        let mut suppressed = 0usize;
-        let mut outages = 0u64;
-        let mut backoff = 0.0f64;
-        let mut failed_over = 0u64;
-        for shard in 0..self.config.shards {
-            let mut served = false;
-            for r in 0..self.config.replicas {
-                let m = shard * self.config.replicas + r;
-                // Degrade-and-reprobe: routed around until the probe
-                // interval elapses, then given a live attempt.
-                if self.modules[m].health.degraded
-                    && self.modules[m].health.batches_since_probe + 1 < policy.probe_interval
-                {
-                    self.modules[m].health.batches_since_probe += 1;
+        let (shards, replicas) = (self.config.shards, self.config.replicas);
+        let mut route = ReadRoute {
+            serving: Vec::with_capacity(shards),
+            outages: 0,
+            backoff: 0.0,
+            failed_over: 0,
+        };
+        for shard in 0..shards {
+            let mut serving = None;
+            for r in 0..replicas {
+                let m = shard * replicas + r;
+                if self.modules[m].health.route_around(&policy) {
                     continue;
                 }
                 if !self.module_available(
                     m,
                     READ_OUTAGE_SCOPE,
                     batch_seq,
-                    &mut outages,
-                    &mut backoff,
+                    &mut route.outages,
+                    &mut route.backoff,
                 ) {
-                    self.modules[m].health.batches_since_probe = 0;
                     self.note_miss(m);
                     continue;
                 }
-                // Reachable: replay missed writes, then serve the shard.
                 self.drain_pending(m)?;
-                let result = self.modules[m].store.query(q, metric, k)?;
-                for n in &result.neighbors {
-                    top.offer(n.id, n.dist);
-                }
-                device_seconds = device_seconds.max(result.device_seconds);
-                energy_mj += result.energy_mj;
-                segments_scanned += result.segments_scanned;
-                memtable_scanned += result.memtable_scanned;
-                suppressed += result.suppressed;
-                faults.accumulate(&result.faults);
-                let h = &mut self.modules[m].health;
-                h.batches_since_probe = 0;
-                h.consecutive_faults = 0;
-                h.degraded = false;
-                if r > 0 {
-                    failed_over += 1;
-                }
-                served = true;
+                self.modules[m].health.succeed();
+                route.failed_over += u64::from(r > 0);
+                serving = Some(m);
                 break;
             }
-            if !served {
-                // Honest coverage: the shard's acknowledged live count
-                // goes uncovered. An empty lost shard loses nothing (and
-                // must not claim a phantom lost unit).
-                let live = self.shard_live[shard].len() as u64;
-                faults.total_vectors += live;
-                if live > 0 {
-                    faults.lost_module += 1;
-                    faults.lost_units.push(shard as u32);
-                }
-            }
+            route.serving.push(serving);
         }
-        faults.module_outages += outages;
-        faults.failed_over += failed_over;
-        faults.recovery_seconds += backoff;
-        Ok(StoreQueryResult {
-            neighbors: top.into_sorted(),
-            device_seconds,
-            energy_mj,
-            segments_scanned,
-            memtable_scanned,
-            suppressed,
-            faults,
-        })
+        Ok(route)
     }
 
     /// Seals every module's memtable; returns how many sealed.
@@ -891,7 +899,7 @@ impl ShardedStore {
                 shard: m / replicas,
                 replica: m % replicas,
                 behind: ms.pending.len(),
-                degraded: ms.health.degraded,
+                degraded: ms.health.degraded(),
                 down: ms.forced_down,
                 store: ms.store.account(&format!("{label}/m{m}")),
             })

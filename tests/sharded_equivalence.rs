@@ -9,14 +9,19 @@
 //! `(distance, id)` merge at once: every top-k that straddles a shard
 //! boundary must interleave exactly as the unsharded scan would, and a
 //! downed replica must change *nothing* about the answer as long as a
-//! shard-mate survives.
+//! shard-mate survives. The batch read path is pinned against the serial
+//! one in every state, and again under a chaos fault plan, where batched
+//! and serial routing must draw identical outage samples.
 //!
 //! Values are drawn from (-1, 1) for the same fixed-point-ordering
 //! precondition the other differential suites rely on.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
-use ssam::core::device::DeviceMetric;
+use ssam::core::device::{DeviceMetric, DeviceQuery};
+use ssam::faults::FaultPlan;
 use ssam::store::{ShardedStore, ShardedStoreConfig, Store, StoreConfig};
 
 const DIMS: usize = 6;
@@ -58,6 +63,53 @@ fn store_config() -> StoreConfig {
     c.fanout = 2;
     c.device.fast_path = true;
     c
+}
+
+fn probe(qi: u32) -> Vec<f32> {
+    (0..DIMS)
+        .map(|d| (((qi * 11 + d as u32 * 5) % 17) as f32 - 8.0) / 9.0)
+        .collect()
+}
+
+/// Three probes, Euclidean and Manhattan mixed, answered as one
+/// `ShardedStore::query_batch` must match each probe's own
+/// `ShardedStore::query` on a clone: the same routing, outage samples
+/// and health transitions, hence the same answers and accounts.
+fn check_batch_against_serial(sharded: &mut ShardedStore, k: usize) {
+    let probes: Vec<Vec<f32>> = (0..3).map(probe).collect();
+    let metrics = [
+        DeviceMetric::Euclidean,
+        DeviceMetric::Manhattan,
+        DeviceMetric::Euclidean,
+    ];
+    let batch: Vec<DeviceQuery<'_>> = probes
+        .iter()
+        .zip(metrics)
+        .map(|(p, m)| match m {
+            DeviceMetric::Euclidean => DeviceQuery::Euclidean(p),
+            _ => DeviceQuery::Manhattan(p),
+        })
+        .collect();
+    let mut serial = sharded.clone();
+    let got = sharded
+        .query_batch(&batch, k)
+        .expect("batched sharded query");
+    assert_eq!(got.len(), probes.len());
+    for ((p, m), g) in probes.iter().zip(metrics).zip(&got) {
+        let w = serial.query(p, m, k).expect("serial sharded query");
+        assert_eq!(g.neighbors.len(), w.neighbors.len());
+        for (a, b) in g.neighbors.iter().zip(&w.neighbors) {
+            assert_eq!(a.id, b.id);
+            assert_eq!(a.dist.to_bits(), b.dist.to_bits());
+        }
+        assert_eq!(g.device_seconds.to_bits(), w.device_seconds.to_bits());
+        assert_eq!(g.energy_mj.to_bits(), w.energy_mj.to_bits());
+        assert_eq!(g.segments_scanned, w.segments_scanned);
+        assert_eq!(g.memtable_scanned, w.memtable_scanned);
+        assert_eq!(g.suppressed, w.suppressed);
+        assert_eq!(g.faults, w.faults);
+    }
+    assert_eq!(sharded.degraded_modules(), serial.degraded_modules());
 }
 
 proptest! {
@@ -107,9 +159,7 @@ proptest! {
         let ks = [1usize, 3, live.max(1), 2 * live.max(1)];
         let check = |sharded: &mut ShardedStore, single: &mut Store| {
             for qi in 0..3u32 {
-                let q: Vec<f32> = (0..DIMS)
-                    .map(|d| (((qi * 11 + d as u32 * 5) % 17) as f32 - 8.0) / 9.0)
-                    .collect();
+                let q = probe(qi);
                 for metric in [DeviceMetric::Euclidean, DeviceMetric::Manhattan] {
                     for &k in &ks {
                         let a = sharded.query(&q, metric, k).expect("sharded query");
@@ -125,6 +175,9 @@ proptest! {
                     }
                 }
             }
+            for &k in &ks {
+                check_batch_against_serial(sharded, k);
+            }
         };
         check(&mut sharded, &mut single);
 
@@ -132,5 +185,12 @@ proptest! {
         // answer must not move by a bit.
         sharded.kill_module((seed as usize) % (shards * REPLICAS));
         check(&mut sharded, &mut single);
+
+        // Under a chaos plan, module outages, failovers and segment faults
+        // land identically whether the reads run batched or one by one.
+        sharded.set_fault_plan(Some(Arc::new(FaultPlan::chaos(seed))));
+        for &k in &ks {
+            check_batch_against_serial(&mut sharded, k);
+        }
     }
 }

@@ -8,7 +8,9 @@
 //! visibility machinery at once: tombstone suppression across memtable
 //! and segments, dedup-by-latest-version, the stale-aware per-segment
 //! over-fetch, and the host memtable scan ranking identically to staged
-//! vectors.
+//! vectors. After every op the batch read path is pinned too:
+//! `Store::query_batch` over mixed-metric probes must match each probe's
+//! own `Store::query` field for field.
 //!
 //! Values are drawn from (-1, 1) so Q16.16 squared distances stay below
 //! 2²⁴, the range where the raw fixed-point accumulator and its f32
@@ -102,6 +104,45 @@ fn check_against_rebuild(store: &mut Store, q: &[f32], metric: DeviceMetric, k: 
     }
 }
 
+/// Three probes, Euclidean and Manhattan mixed, answered as one
+/// `Store::query_batch` must match each probe's own `Store::query` on a
+/// clone — ids, distance bits, and every account field.
+fn check_batch_against_serial(store: &mut Store, q: &[f32], k: usize) {
+    let probes: Vec<Vec<f32>> = (0..3)
+        .map(|i| q.iter().map(|x| x * (1.0 - 0.25 * i as f32)).collect())
+        .collect();
+    let metrics = [
+        DeviceMetric::Euclidean,
+        DeviceMetric::Manhattan,
+        DeviceMetric::Euclidean,
+    ];
+    let batch: Vec<DeviceQuery<'_>> = probes
+        .iter()
+        .zip(metrics)
+        .map(|(p, m)| match m {
+            DeviceMetric::Euclidean => DeviceQuery::Euclidean(p),
+            _ => DeviceQuery::Manhattan(p),
+        })
+        .collect();
+    let mut serial = store.clone();
+    let got = store.query_batch(&batch, k).expect("batched store query");
+    prop_assert_eq!(got.len(), probes.len());
+    for ((p, m), g) in probes.iter().zip(metrics).zip(&got) {
+        let w = serial.query(p, m, k).expect("serial store query");
+        prop_assert_eq!(g.neighbors.len(), w.neighbors.len());
+        for (a, b) in g.neighbors.iter().zip(&w.neighbors) {
+            prop_assert_eq!(a.id, b.id);
+            prop_assert_eq!(a.dist.to_bits(), b.dist.to_bits());
+        }
+        prop_assert_eq!(g.device_seconds.to_bits(), w.device_seconds.to_bits());
+        prop_assert_eq!(g.energy_mj.to_bits(), w.energy_mj.to_bits());
+        prop_assert_eq!(g.segments_scanned, w.segments_scanned);
+        prop_assert_eq!(g.memtable_scanned, w.memtable_scanned);
+        prop_assert_eq!(g.suppressed, w.suppressed);
+        prop_assert_eq!(&g.faults, &w.faults);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -122,6 +163,7 @@ proptest! {
                 Op::Compact => { store.compact_step(); }
             }
             check_against_rebuild(&mut store, &q, DeviceMetric::Euclidean, k);
+            check_batch_against_serial(&mut store, &q, k);
         }
         // The settled end state must also agree under the other linear
         // metric (a distinct kernel on both sides).
