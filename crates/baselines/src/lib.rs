@@ -9,9 +9,9 @@
 //!
 //! This crate provides both layers of that comparison:
 //!
-//! * [`parallel`] — a *measured* multicore CPU baseline: rayon-parallel
-//!   implementations of the four search algorithms with wall-clock
-//!   batch timing (the FLANN/FALCONN role).
+//! * [`measured`] — a *measured* single-threaded CPU baseline: the four
+//!   search algorithms with wall-clock batch timing (the FLANN/FALCONN
+//!   role).
 //! * [`cpu`], [`gpu`], [`fpga`], [`automata`] — *analytical* platform
 //!   models (roofline throughput from published bandwidth/compute/die
 //!   constants) so cross-platform figures are host-independent and
@@ -28,8 +28,8 @@ pub mod automata;
 pub mod cpu;
 pub mod fpga;
 pub mod gpu;
+pub mod measured;
 pub mod normalize;
-pub mod parallel;
 
 pub use cpu::CpuPlatform;
 pub use fpga::FpgaPlatform;

@@ -2,8 +2,8 @@
 //! GloVe-stand-in batch through `SsamDevice::query_batch` versus the same
 //! queries through a serial `query()` loop.
 //!
-//! The batched engine recycles one processing unit per (vault, tile) work
-//! item (architectural-state reset instead of reconstruction — no 32 KB
+//! The batched engine recycles one processing unit per vault across the
+//! batch (architectural-state reset instead of reconstruction — no 32 KB
 //! scratchpad re-zeroing, no DRAM-interface realloc) and shares one
 //! instruction image per kernel instead of cloning it per (query, vault),
 //! so the win here is host-side engine overhead, not simulated cycles

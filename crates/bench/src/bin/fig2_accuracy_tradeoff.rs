@@ -10,7 +10,7 @@
 //! Sweeps the leaf/probe budget of each index and prints recall, absolute
 //! throughput, and speedup over exact linear search.
 
-use ssam_baselines::parallel::{batch_recall, batch_search_single_thread};
+use ssam_baselines::measured::{batch_recall, batch_search};
 use ssam_bench::{fmt, print_table, ExpConfig};
 use ssam_datasets::PaperDataset;
 use ssam_knn::index::{SearchBudget, SearchIndex};
@@ -50,7 +50,7 @@ fn main() {
 
         // Exact linear reference.
         let linear = LinearSearch::new(Metric::Euclidean);
-        let lin = batch_search_single_thread(
+        let lin = batch_search(
             &linear,
             &bench.train,
             &bench.queries,
@@ -104,7 +104,7 @@ fn main() {
             [("kdtree", &kd), ("kmeans", &km), ("mplsh", &lsh)];
         for (name, index) in indexes {
             for budget in BUDGETS {
-                let out = batch_search_single_thread(
+                let out = batch_search(
                     index,
                     &bench.train,
                     &bench.queries,

@@ -12,8 +12,8 @@
 //! SSAM model with simulated kernel cycles and per-vault HMC bandwidth
 //! (buckets shard round-robin across vaults).
 
+use ssam_baselines::measured::{batch_recall, batch_search};
 use ssam_baselines::normalize::area_normalized_throughput;
-use ssam_baselines::parallel::{batch_recall, batch_search_single_thread};
 use ssam_baselines::CpuPlatform;
 use ssam_bench::{emit_telemetry, fmt, print_table, ssam_scan_cost, ExpConfig};
 use ssam_core::area::module_area;
@@ -94,7 +94,7 @@ fn main() {
 
         for (name, index) in indexes {
             for budget in BUDGETS {
-                let out = batch_search_single_thread(
+                let out = batch_search(
                     index,
                     &bench.train,
                     &bench.queries,

@@ -9,8 +9,8 @@
 use std::fs;
 use std::path::PathBuf;
 
+use ssam_baselines::measured::{batch_recall, batch_search};
 use ssam_baselines::normalize::area_normalized_throughput;
-use ssam_baselines::parallel::{batch_recall, batch_search_single_thread};
 use ssam_baselines::{CpuPlatform, FpgaPlatform, GpuPlatform, ScanWorkload};
 use ssam_bench::svg::{grouped_bar_chart, line_chart, PlotSpec, Series};
 use ssam_bench::{ssam_linear_estimate, ssam_scan_cost, ssam_with, ExpConfig};
@@ -86,7 +86,7 @@ fn main() {
         for (name, index) in indexes(&bench) {
             let mut points = Vec::new();
             for budget in BUDGETS {
-                let out = batch_search_single_thread(
+                let out = batch_search(
                     index.as_ref(),
                     &bench.train,
                     &bench.queries,
@@ -100,7 +100,7 @@ fn main() {
                 points,
             });
         }
-        let lin = batch_search_single_thread(
+        let lin = batch_search(
             &ssam_knn::linear::LinearSearch::new(Metric::Euclidean),
             &bench.train,
             &bench.queries,
@@ -231,7 +231,7 @@ fn main() {
             let mut cpu_pts = Vec::new();
             let mut ssam_pts = Vec::new();
             for budget in BUDGETS {
-                let out = batch_search_single_thread(
+                let out = batch_search(
                     index.as_ref(),
                     &bench.train,
                     &bench.queries,

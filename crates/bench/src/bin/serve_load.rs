@@ -368,7 +368,6 @@ impl TenantSpec {
             tier: self.tier,
             min_coverage: self.min_cov,
             default_timeout: None,
-            write_rate: None,
         }
     }
 }

@@ -11,15 +11,14 @@
 //!
 //! The cluster splits the dataset across modules by capacity, broadcasts
 //! each query over the link fabric (a daisy chain, as in Fig. 3), runs
-//! every module concurrently, and reduces the per-module top-k on the
-//! host. Query latency is therefore
-//! `broadcast + max(module time) + collection`, where the link terms grow
-//! with chain depth and the result volume is `modules × k` tuples — "a
-//! fraction of the original dataset size".
+//! every module (concurrently in the model, one after another on the
+//! host), and reduces the per-module top-k on the host. Query latency is
+//! therefore `broadcast + max(module time) + collection`, where the link
+//! terms grow with chain depth and the result volume is `modules × k`
+//! tuples — "a fraction of the original dataset size".
 
 use std::sync::Arc;
 
-use rayon::prelude::*;
 use ssam_faults::{FaultPlan, FaultRecord, ModuleHealth};
 use ssam_knn::topk::{Neighbor, TopK};
 use ssam_knn::VectorStore;
@@ -235,7 +234,7 @@ impl SsamCluster {
         };
         let outcomes: Result<Vec<ModuleOutcome>, SimError> = self
             .modules
-            .par_iter_mut()
+            .iter_mut()
             .enumerate()
             .map(|(mi, dev)| {
                 if !dispatch[mi] {

@@ -17,7 +17,6 @@
 
 use std::sync::{Arc, Mutex};
 
-use rayon::prelude::*;
 use ssam_knn::fixed::Fix32;
 use ssam_knn::topk::{Neighbor, TopK};
 use ssam_knn::VectorStore;
@@ -182,8 +181,8 @@ impl IndexedSsamDevice {
 
         let results: Result<Vec<(Vec<Neighbor>, RunStats)>, SimError> = self
             .shards
-            .par_iter()
-            .zip(self.pu_cache.par_iter())
+            .iter()
+            .zip(&self.pu_cache)
             .map(|(shard, slot)| {
                 let mut slot = slot.lock().expect("PU cache lock poisoned");
                 let mut pu = match slot.take() {

@@ -25,7 +25,6 @@ pub use fastpath::raw_distance;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use rayon::prelude::*;
 use ssam_faults::{FaultPlan, FaultRecord, VaultFault};
 use ssam_hmc::dram::{Secded32, SecdedOutcome, SECDED_CODE_BITS};
 use ssam_hmc::HmcConfig;
@@ -473,12 +472,6 @@ impl SsamDevice {
         out
     }
 
-    /// Queries per (vault, tile) work item: one simulated PU is recycled
-    /// across this many queries of a batch before the scheduler moves to
-    /// the next item (balances PU reuse against parallel slack across
-    /// worker threads).
-    const QUERY_TILE: usize = 16;
-
     /// Stages one query: the padded scratchpad image plus any extra
     /// driver register state (cosine's `s10` query norm).
     fn stage_query(&self, query: &DeviceQuery<'_>, payload: Payload) -> (Vec<i32>, Option<i32>) {
@@ -521,11 +514,14 @@ impl SsamDevice {
     ///
     /// Functionally every query sees exactly the serial
     /// [`SsamDevice::query`] semantics — neighbors and per-query stats are
-    /// bit-identical to a serial loop — but the engine parallelizes over
-    /// (vault × query-tile) work items, recycles one processing unit per
-    /// work item across its tile (architectural-state reset plus query
-    /// rewrite instead of reconstruction), and shares one instruction
-    /// image per distinct kernel instead of cloning it per (query, vault).
+    /// bit-identical to a serial loop — but the engine walks the vaults
+    /// one after another over the whole batch, synthesizes fast-path
+    /// counters once per (kernel, shard length), builds a vault's
+    /// processing unit only when a query falls back to the cycle
+    /// simulator and recycles it for the rest of the batch
+    /// (architectural-state reset plus query rewrite instead of
+    /// reconstruction), and shares one instruction image per distinct
+    /// kernel instead of cloning it per (query, vault).
     /// The batch-level account in [`BatchResult::timing`] additionally
     /// pipelines each vault's runs over a single provisioning decision.
     ///
@@ -628,138 +624,116 @@ impl SsamDevice {
             (0..k).flat_map(|_| [i32::MAX, -1]).collect()
         };
         let shards = &self.shards;
-
-        // (vault × query-tile) work items.
-        let mut items: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-        for si in 0..shards.len() {
-            let mut q0 = 0;
-            while q0 < staged.len() {
-                let q1 = (q0 + Self::QUERY_TILE).min(staged.len());
-                items.push((si, q0..q1));
-                q0 = q1;
-            }
-        }
-
-        // Simulate every work item (in parallel threads; each vault is an
-        // independent accelerator and each tile its own PU).
-        type TileOut = (usize, usize, Vec<(Vec<Neighbor>, RunStats)>);
-        let tiles: Result<Vec<TileOut>, SimError> = items
-            .par_iter()
-            .map(|(si, range)| {
-                let shard = &shards[*si];
-                let mut pu = ProcessingUnit::new(vl, Arc::clone(&shard.words));
-                if use_hw {
-                    pu.chain_pqueue(pq_chain);
-                }
-                let budget = 10_000u64 + shard.vectors as u64 * per_vec;
-                let mut loaded: Option<&str> = None;
-                // Fast-path counters depend only on (program, vl, n), so
-                // one synthesis per distinct kernel serves the whole tile.
-                let mut synth: HashMap<&str, Option<RunStats>> = HashMap::new();
-                let mut out = Vec::with_capacity(range.len());
-                for (off, sq) in staged[range.clone()].iter().enumerate() {
-                    // A vault outage means this (query, vault) run never
-                    // executes: no neighbors, no retired work.
-                    if fg.is_some_and(|g| g[range.start + off][*si].outage) {
-                        out.push((Vec::new(), RunStats::default()));
-                        continue;
-                    }
-                    // Analytic fast path: host-side Q16.16 distances, the
-                    // same hardware priority queue, counters from the
-                    // static cost model — bit-identical to the simulator
-                    // without interpreting instructions. Queries whose
-                    // counters do not resolve exactly (or that would trip
-                    // the simulator's runaway budget) fall through to the
-                    // cycle simulator below.
-                    if fast_enabled && fastpath::supported(sq.metric) {
-                        let stats = *synth.entry(sq.kernel.name.as_str()).or_insert_with(|| {
-                            fastpath::synthesize_stats(&sq.program, vl, shard.vectors as u64)
-                        });
-                        if let Some(stats) = stats.filter(|s| s.instructions <= budget) {
-                            let neighbors = fastpath::scan_shard(
-                                sq.metric,
-                                &sq.words,
-                                &shard.words,
-                                vec_words,
-                                k,
-                                pq_chain,
-                            )
-                            .into_iter()
-                            .map(|(id, value)| {
-                                Neighbor::new(shard.first_id + id as u32, host_dist(payload, value))
-                            })
-                            .collect();
-                            out.push((neighbors, stats));
-                            continue;
-                        }
-                    }
-                    if loaded.is_some() {
-                        pu.reset_state();
-                    }
-                    if loaded != Some(sq.kernel.name.as_str()) {
-                        pu.load_program(Arc::clone(&sq.program));
-                        loaded = Some(sq.kernel.name.as_str());
-                    }
-                    pu.scratchpad_mut()
-                        .write_block(sq.kernel.layout.query_addr, &sq.words)
-                        .expect("query fits scratchpad");
-                    if !use_hw {
-                        // Initialize the software queue: k (MAX, -1) pairs.
-                        pu.scratchpad_mut()
-                            .write_block(sq.kernel.layout.swqueue_addr, &swinit)
-                            .expect("queue fits scratchpad");
-                    }
-                    pu.set_sreg(1, DRAM_BASE as i32);
-                    pu.set_sreg(2, DRAM_BASE as i32 + (shard.words.len() * 4) as i32);
-                    pu.set_sreg(3, 0); // local ids; remapped below
-                    if let Some(norm) = sq.norm {
-                        pu.set_sreg(10, norm);
-                    }
-                    let stats = pu.run(budget)?;
-
-                    let neighbors: Vec<Neighbor> = if use_hw {
-                        pu.pqueue()
-                            .entries()
-                            .iter()
-                            .take(k)
-                            .map(|e| {
-                                Neighbor::new(
-                                    shard.first_id + e.id as u32,
-                                    host_dist(payload, e.value),
-                                )
-                            })
-                            .collect()
-                    } else {
-                        pu.scratchpad()
-                            .read_block(sq.kernel.layout.swqueue_addr, 2 * k)
-                            .expect("queue readable")
-                            .chunks_exact(2)
-                            .filter(|pair| pair[1] >= 0)
-                            .map(|pair| {
-                                Neighbor::new(
-                                    shard.first_id + pair[1] as u32,
-                                    host_dist(payload, pair[0]),
-                                )
-                            })
-                            .collect()
-                    };
-                    out.push((neighbors, stats));
-                }
-                Ok((*si, range.start, out))
-            })
-            .collect();
-        let tiles = tiles?;
-
-        // Reassemble the (query, vault) grid in vault order.
         let n_vaults = shards.len();
         let batch = staged.len();
-        type Cell = Option<(Vec<Neighbor>, RunStats)>;
-        let mut grid: Vec<Vec<Cell>> = (0..batch)
-            .map(|_| (0..n_vaults).map(|_| None).collect())
-            .collect();
-        for (si, q0, rows) in tiles {
-            for (off, cell) in rows.into_iter().enumerate() {
-                grid[q0 + off][si] = Some(cell);
+
+        // Walk the vaults one after another (the timing model overlaps
+        // them), each over the staged queries in order, pushing every
+        // (query, vault) cell into its query's row.
+        let mut rows: Vec<Vec<(Vec<Neighbor>, RunStats)>> =
+            (0..batch).map(|_| Vec::with_capacity(n_vaults)).collect();
+        // Fast-path counters depend only on (program, vl, n), so one
+        // synthesis per (kernel, shard length) serves the whole batch.
+        let mut synth: HashMap<(&str, usize), Option<RunStats>> = HashMap::new();
+        for (si, shard) in shards.iter().enumerate() {
+            let budget = 10_000u64 + shard.vectors as u64 * per_vec;
+            // Built on the vault's first simulator fallback and recycled
+            // (architectural-state reset plus query rewrite) for the rest
+            // of the batch.
+            let mut pu: Option<ProcessingUnit> = None;
+            let mut loaded: Option<&str> = None;
+            for (qi, sq) in staged.iter().enumerate() {
+                // A vault outage means this (query, vault) run never
+                // executes: no neighbors, no retired work.
+                if fg.is_some_and(|g| g[qi][si].outage) {
+                    rows[qi].push((Vec::new(), RunStats::default()));
+                    continue;
+                }
+                // Analytic fast path: host-side Q16.16 distances, the
+                // same hardware priority queue, counters from the static
+                // cost model — bit-identical to the simulator without
+                // interpreting instructions. Queries whose counters do
+                // not resolve exactly (or that would trip the simulator's
+                // runaway budget) fall through to the cycle simulator.
+                if fast_enabled && fastpath::supported(sq.metric) {
+                    let stats = *synth
+                        .entry((sq.kernel.name.as_str(), shard.vectors))
+                        .or_insert_with(|| {
+                            fastpath::synthesize_stats(&sq.program, vl, shard.vectors as u64)
+                        });
+                    if let Some(stats) = stats.filter(|s| s.instructions <= budget) {
+                        let neighbors = fastpath::scan_shard(
+                            sq.metric,
+                            &sq.words,
+                            &shard.words,
+                            vec_words,
+                            k,
+                            pq_chain,
+                        )
+                        .into_iter()
+                        .map(|(id, value)| {
+                            Neighbor::new(shard.first_id + id as u32, host_dist(payload, value))
+                        })
+                        .collect();
+                        rows[qi].push((neighbors, stats));
+                        continue;
+                    }
+                }
+                let pu = pu.get_or_insert_with(|| {
+                    let mut pu = ProcessingUnit::new(vl, Arc::clone(&shard.words));
+                    if use_hw {
+                        pu.chain_pqueue(pq_chain);
+                    }
+                    pu
+                });
+                if loaded.is_some() {
+                    pu.reset_state();
+                }
+                if loaded != Some(sq.kernel.name.as_str()) {
+                    pu.load_program(Arc::clone(&sq.program));
+                    loaded = Some(sq.kernel.name.as_str());
+                }
+                pu.scratchpad_mut()
+                    .write_block(sq.kernel.layout.query_addr, &sq.words)
+                    .expect("query fits scratchpad");
+                if !use_hw {
+                    // Initialize the software queue: k (MAX, -1) pairs.
+                    pu.scratchpad_mut()
+                        .write_block(sq.kernel.layout.swqueue_addr, &swinit)
+                        .expect("queue fits scratchpad");
+                }
+                pu.set_sreg(1, DRAM_BASE as i32);
+                pu.set_sreg(2, DRAM_BASE as i32 + (shard.words.len() * 4) as i32);
+                pu.set_sreg(3, 0); // local ids; remapped below
+                if let Some(norm) = sq.norm {
+                    pu.set_sreg(10, norm);
+                }
+                let stats = pu.run(budget)?;
+
+                let neighbors: Vec<Neighbor> = if use_hw {
+                    pu.pqueue()
+                        .entries()
+                        .iter()
+                        .take(k)
+                        .map(|e| {
+                            Neighbor::new(shard.first_id + e.id as u32, host_dist(payload, e.value))
+                        })
+                        .collect()
+                } else {
+                    pu.scratchpad()
+                        .read_block(sq.kernel.layout.swqueue_addr, 2 * k)
+                        .expect("queue readable")
+                        .chunks_exact(2)
+                        .filter(|pair| pair[1] >= 0)
+                        .map(|pair| {
+                            Neighbor::new(
+                                shard.first_id + pair[1] as u32,
+                                host_dist(payload, pair[0]),
+                            )
+                        })
+                        .collect()
+                };
+                rows[qi].push((neighbors, stats));
             }
         }
 
@@ -769,14 +743,9 @@ impl SsamDevice {
         let mut per_query_stats: Vec<Vec<RunStats>> = Vec::with_capacity(batch);
         let mut query_records: Vec<QueryRecord> = Vec::new();
         let mut per_query_faults: Vec<FaultRecord> = Vec::with_capacity(batch);
-        for (qi, row) in grid.into_iter().enumerate() {
-            let mut vault_stats = Vec::with_capacity(n_vaults);
-            let mut vault_neighbors = Vec::with_capacity(n_vaults);
-            for cell in row {
-                let (neighbors, stats) = cell.expect("every (vault, query) item simulated");
-                vault_neighbors.push(neighbors);
-                vault_stats.push(stats);
-            }
+        for (qi, row) in rows.into_iter().enumerate() {
+            let (vault_neighbors, vault_stats): (Vec<Vec<Neighbor>>, Vec<RunStats>) =
+                row.into_iter().unzip();
             let fault_row = fault_grid
                 .as_ref()
                 .map(|g| (base_seq + qi as u64, g[qi].as_slice()));
@@ -1608,8 +1577,8 @@ mod tests {
 
     #[test]
     fn mixed_metric_batch_matches_serial_loop() {
-        // Kernel switches inside one tile exercise the program-reload path
-        // of the recycled PUs.
+        // Kernel switches inside one vault's run exercise the
+        // program-reload path of the recycled PUs.
         let store = random_store(100, 6, 26);
         let mut dev = device(4);
         dev.load_vectors(&store);

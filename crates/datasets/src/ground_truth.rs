@@ -1,10 +1,9 @@
 //! Exact ground-truth computation.
 //!
 //! Recall (Section II-C) is measured against "the true set of neighbors
-//! returned by exact floating point linear kNN search". Ground truth is
-//! embarrassingly parallel across queries, so we compute it with rayon.
+//! returned by exact floating point linear kNN search", computed here
+//! one query after another.
 
-use rayon::prelude::*;
 use ssam_knn::linear::knn_exact;
 use ssam_knn::{Metric, VectorStore};
 
@@ -21,10 +20,9 @@ pub struct GroundTruth {
 }
 
 impl GroundTruth {
-    /// Computes exact kNN for every query in parallel.
+    /// Computes exact kNN for every query.
     pub fn compute(train: &VectorStore, queries: &VectorStore, k: usize, metric: Metric) -> Self {
         let ids: Vec<Vec<u32>> = (0..queries.len() as u32)
-            .into_par_iter()
             .map(|q| {
                 knn_exact(train, queries.get(q), k, metric)
                     .into_iter()

@@ -21,7 +21,7 @@
 //! Each dataset ships as a [`benchmark::Benchmark`]: a train store, a
 //! held-out query set ("test set of 1000 vectors used as the queries when
 //! measuring application accuracy"), the paper's `k`, and exact ground
-//! truth computed by multithreaded linear search.
+//! truth computed by exact linear search.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

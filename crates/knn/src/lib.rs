@@ -21,7 +21,7 @@
 //! The implementations here are the *reference* (single-threaded) versions
 //! used both directly by the characterization experiments and as the
 //! semantic ground truth the SSAM accelerator simulator is validated
-//! against. Multicore (rayon) variants live in `ssam-baselines`.
+//! against. `ssam-baselines` times them as the measured CPU baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -182,13 +182,13 @@ pub struct ServeConfig {
     /// every tenant with the default [`TenantQos`] — no rate limits, one
     /// tier, equal weights — making QoS invisible to single-tenant use.
     pub qos: QosConfig,
-    /// How often the mutable-store maintenance thread polls for owed
-    /// compaction work (store backends only; ignored by the immutable
-    /// device). Each poll runs at most one
-    /// [`ssam_store::Store::compact_step`], so queries interleave with
-    /// compaction at single-merge granularity.
-    pub maintenance_interval: Duration,
 }
+
+/// How long the mutable-store maintenance thread sleeps when a poll
+/// found no owed compaction. Each poll runs at most one
+/// [`ssam_store::Store::compact_step`], so queries interleave with
+/// compaction at single-merge granularity.
+const MAINTENANCE_INTERVAL: Duration = Duration::from_micros(500);
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -200,7 +200,6 @@ impl Default for ServeConfig {
             default_timeout: None,
             faults: ServeFaults::default(),
             qos: QosConfig::default(),
-            maintenance_interval: Duration::from_micros(500),
         }
     }
 }
@@ -560,9 +559,6 @@ struct QueueState {
     batches_started: u64,
     /// Per-tenant admission token buckets, created full on first use.
     buckets: HashMap<TenantId, TokenBucket>,
-    /// Per-tenant *write* admission buckets ([`TenantQos::write_rate`]),
-    /// created full on first use; store backends only.
-    write_buckets: HashMap<TenantId, TokenBucket>,
     /// Weighted-fair virtual service, charged per flushed batch.
     fair: FairState,
     stats: ServerStats,
@@ -792,8 +788,7 @@ impl Server {
     /// batcher, each coalesced batch running as one
     /// [`Store::query_batch`]; [`ServerHandle::insert`] /
     /// [`ServerHandle::delete`] mutate the store WAL-first, and a
-    /// maintenance thread polls every
-    /// [`ServeConfig::maintenance_interval`] to run owed compactions
+    /// maintenance thread polls every 500 µs to run owed compactions
     /// one merge at a time, interleaving with query batches on the
     /// store lock. Attach telemetry and load any initial data into the
     /// store *before* this call. If the store was recovered via
@@ -827,7 +822,7 @@ impl Server {
 
     /// Serves a store backend: every worker shares it, and a background
     /// maintenance thread runs at most one merge per poll, sleeping
-    /// [`ServeConfig::maintenance_interval`] when idle.
+    /// [`MAINTENANCE_INTERVAL`] when idle.
     fn start_backend(
         backend: StoreBackend,
         store_config: &StoreConfig,
@@ -854,7 +849,6 @@ impl Server {
             st.stats.recovered_segments = rec.segments_rebuilt as u64;
         }
         let shared = Arc::clone(&server.shared);
-        let interval = shared.config.maintenance_interval;
         server.maintenance = Some(
             std::thread::Builder::new()
                 .name("ssam-serve-maintenance".into())
@@ -863,7 +857,7 @@ impl Server {
                         return;
                     }
                     if !backend.compact_step() {
-                        std::thread::sleep(interval);
+                        std::thread::sleep(MAINTENANCE_INTERVAL);
                     }
                 })
                 .expect("spawn serve maintenance"),
@@ -884,7 +878,6 @@ impl Server {
                 open: true,
                 batches_started: 0,
                 buckets: HashMap::new(),
-                write_buckets: HashMap::new(),
                 fair: FairState::default(),
                 stats: ServerStats::default(),
             }),
@@ -1131,37 +1124,16 @@ impl ServerHandle {
         }
     }
 
-    /// The store backend, if this server has one, is still accepting
-    /// writes, and the (default-tenant) write-rate bucket admits one
-    /// more ([`TenantQos::write_rate`]).
+    /// The store backend, if this server has one and is still accepting
+    /// writes.
     fn writable_store(&self) -> Result<&StoreBackend, ServeError> {
         let Some(backend) = &self.shared.store else {
             return Err(ServeError::BadRequest(
                 "server has no mutable store backend",
             ));
         };
-        let tenant = TenantId::DEFAULT;
-        let qos = self.shared.config.qos.get(tenant);
-        let mut st = self.shared.state.lock().expect("serve queue lock");
-        if !st.open {
+        if !self.shared.state.lock().expect("serve queue lock").open {
             return Err(ServeError::ShuttingDown);
-        }
-        if qos.write_rate.is_some() {
-            // Writes spend from their own bucket so a write burst cannot
-            // starve the tenant's query admission (and vice versa).
-            let wqos = TenantQos {
-                rate: qos.write_rate,
-                ..qos.clone()
-            };
-            let now = Instant::now();
-            let bucket = st
-                .write_buckets
-                .entry(tenant)
-                .or_insert_with(|| TokenBucket::new(&wqos, now));
-            if !bucket.try_admit(&wqos, now) {
-                st.stats.rejected_rate_limited += 1;
-                return Err(ServeError::RateLimited { tenant });
-            }
         }
         Ok(backend)
     }
@@ -1181,6 +1153,8 @@ fn store_error(e: StoreError) -> ServeError {
         StoreError::ZeroK => ServeError::BadRequest("k must be positive"),
         StoreError::Device(e) => ServeError::Device(e),
         StoreError::ShardUnavailable { shard } => ServeError::ShardUnavailable { shard },
+        // Only `Store::open` returns it; a serving store never does.
+        StoreError::CorruptWal { .. } => ServeError::BadRequest("corrupt WAL record"),
     }
 }
 

@@ -74,11 +74,6 @@ pub struct TenantQos {
     /// [`crate::ServeFaults::min_coverage`] when set: responses below it
     /// are retried then surfaced as [`crate::ServeError::Degraded`].
     pub min_coverage: Option<f64>,
-    /// Sustained *write* admission rate (inserts + deletes per second)
-    /// for mutable-store backends, gated by its own token bucket with
-    /// the same `burst` depth. `None` (the default) disables write rate
-    /// limiting — QoS stays invisible to write-heavy single-tenant use.
-    pub write_rate: Option<f64>,
     /// Per-tenant deadline budget applied to requests that carry none
     /// (wins over [`crate::ServeConfig::default_timeout`]; the
     /// request's own timeout wins over both).
@@ -93,7 +88,6 @@ impl Default for TenantQos {
             weight: 1.0,
             tier: 1,
             min_coverage: None,
-            write_rate: None,
             default_timeout: None,
         }
     }

@@ -123,6 +123,14 @@ pub enum StoreError {
         /// The shard whose replica set is exhausted.
         shard: usize,
     },
+    /// A CRC-valid WAL record that this store could not have written:
+    /// a `Compact` for a level the replay has not built, or a record at
+    /// `seq == u64::MAX` (no seq follows it). Returned by
+    /// [`Store::open`] only.
+    CorruptWal {
+        /// 0-based index of the offending record in the replayed prefix.
+        record: usize,
+    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -138,6 +146,12 @@ impl std::fmt::Display for StoreError {
             StoreError::Device(e) => write!(f, "segment device error: {e}"),
             StoreError::ShardUnavailable { shard } => {
                 write!(f, "shard {shard}: every replica is down, write refused")
+            }
+            StoreError::CorruptWal { record } => {
+                write!(
+                    f,
+                    "WAL record {record} could not have been written by this store"
+                )
             }
         }
     }
@@ -401,7 +415,9 @@ impl Store {
     ///
     /// # Errors
     /// [`StoreError::DimsMismatch`] if a replayed insert does not match
-    /// `config.dims` (the image belongs to a different store).
+    /// `config.dims` (the image belongs to a different store), and
+    /// [`StoreError::CorruptWal`] at the first record this store could
+    /// not have written.
     pub fn open(config: StoreConfig, wal_bytes: &[u8]) -> Result<(Self, Recovery), StoreError> {
         let mut store = Store::create(config);
         let (wal, records) = Wal::from_bytes(wal_bytes);
@@ -409,8 +425,13 @@ impl Store {
         let replayed = records.len();
         let mut segments_rebuilt = 0usize;
         store.wal = wal;
-        for r in records {
+        for (i, r) in records.into_iter().enumerate() {
             let seq = r.seq();
+            let unbuilt = matches!(r, WalRecord::Compact { level, .. }
+                if level as usize >= store.levels.len());
+            if seq == u64::MAX || unbuilt {
+                return Err(StoreError::CorruptWal { record: i });
+            }
             match r {
                 WalRecord::Insert { uid, seq, vector } => {
                     if vector.len() != store.config.dims {

@@ -288,7 +288,8 @@ impl ShardedStore {
     ///
     /// # Errors
     /// [`StoreError::DimsMismatch`] when an image belongs to a store of
-    /// different dimensionality.
+    /// different dimensionality, and [`StoreError::CorruptWal`] when an
+    /// image holds a record its module could not have written.
     pub fn open(
         config: ShardedStoreConfig,
         images: &[Vec<u8>],

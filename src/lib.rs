@@ -17,8 +17,8 @@
 //!   device-level query engine with its host-side memory API.
 //! * [`datasets`] — synthetic stand-ins for the paper's GloVe / GIST /
 //!   AlexNet evaluation datasets.
-//! * [`baselines`] — the multicore CPU baseline plus analytical GPU /
-//!   FPGA / Automata Processor platform models.
+//! * [`baselines`] — the measured single-threaded CPU baseline plus
+//!   analytical CPU / GPU / FPGA / Automata Processor platform models.
 //! * [`profiling`] — instruction-mix instrumentation (the paper's Table I).
 //! * [`cost`] — the Section VI-A datacenter TCO model.
 //! * [`serve`] — the online query-serving runtime: dynamic batching,

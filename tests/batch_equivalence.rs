@@ -93,7 +93,7 @@ proptest! {
             })
             .collect();
         // Alternate metrics inside one batch so recycled PUs must reload
-        // kernels mid-tile.
+        // kernels mid-batch.
         let queries: Vec<DeviceQuery<'_>> = qs
             .iter()
             .enumerate()
@@ -120,5 +120,34 @@ proptest! {
         let queries: Vec<DeviceQuery<'_>> =
             codes.iter().map(|c| DeviceQuery::Hamming(c)).collect();
         assert_batch_equivalent(&mut dev, &queries, k);
+    }
+}
+
+/// Unequal shards (30 vaults of 4 vectors, one of 1) under a 40-query
+/// batch: each vault's recycled processing unit serves the whole batch,
+/// across kernel switches, in both queue modes.
+#[test]
+fn uneven_shards_and_long_batches_match_serial_loop() {
+    let qs: Vec<Vec<f32>> = (0..40)
+        .map(|i| {
+            (0..DIMS)
+                .map(|j| ((i * 11 + j * 3) as f32 * 0.23).sin())
+                .collect()
+        })
+        .collect();
+    let queries: Vec<DeviceQuery<'_>> = qs
+        .iter()
+        .enumerate()
+        .map(|(i, q)| match i % 3 {
+            0 => DeviceQuery::Euclidean(q),
+            1 => DeviceQuery::Manhattan(q),
+            _ => DeviceQuery::Cosine(q),
+        })
+        .collect();
+    for use_hw in [true, false] {
+        let mut dev = float_device(use_hw, 7, 121);
+        for k in [1, 8, 40] {
+            assert_batch_equivalent(&mut dev, &queries, k);
+        }
     }
 }

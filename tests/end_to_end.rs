@@ -1,7 +1,7 @@
 //! End-to-end integration: dataset generation → indexes → CPU baseline →
 //! SSAM device, with cross-platform agreement on exact search.
 
-use ssam::baselines::parallel::{batch_recall, batch_search};
+use ssam::baselines::measured::{batch_recall, batch_search};
 use ssam::core::device::memregion::knn as ssam_knn_pipeline;
 use ssam::core::device::{DeviceQuery, SsamConfig, SsamDevice};
 use ssam::datasets::{Benchmark, PaperDataset};
@@ -79,7 +79,7 @@ fn all_indexes_reach_high_recall_with_generous_budget() {
             seed: 1,
         },
     );
-    let indexes: [(&str, &(dyn SearchIndex + Sync), f64); 3] =
+    let indexes: [(&str, &dyn SearchIndex, f64); 3] =
         [("kd", &kd, 0.95), ("km", &km, 0.95), ("lsh", &lsh, 0.6)];
     for (name, index, floor) in indexes {
         let out = batch_search(

@@ -7,7 +7,7 @@
 //! change: neighbors, per-vault `RunStats`, per-query and batch timing,
 //! energy, fault records, and coverage must all match the simulator
 //! exactly — including mixed batches where cosine queries fall back to
-//! the simulator mid-tile, software-queue configurations where the fast
+//! the simulator mid-batch, software-queue configurations where the fast
 //! path must disable itself, and chaos fault plans where outage cells
 //! and loss accounting interleave with fast-path runs.
 
@@ -100,7 +100,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Mixed float batches: Euclidean and Manhattan take the fast path,
-    /// cosine falls back to the simulator inside the same tile.
+    /// cosine falls back to the simulator inside the same vault's run.
     #[test]
     fn float_batches_are_bit_identical(
         seed in 1u64..1000,
@@ -228,6 +228,40 @@ proptest! {
             Some(plan),
             &queries,
             5,
+        );
+    }
+}
+
+/// Unequal shards (30 vaults of 4 vectors, one of 1) under a 40-query
+/// batch: the synthesized counters must follow each vault's shard
+/// length, and each vault's recycled processing unit serves every cosine
+/// fallback of the batch.
+#[test]
+fn uneven_shards_and_long_batches_are_bit_identical() {
+    let store = float_store(7, 121);
+    let qs: Vec<Vec<f32>> = (0..40)
+        .map(|i| {
+            (0..DIMS)
+                .map(|j| ((i * 11 + j * 3) as f32 * 0.23).sin())
+                .collect()
+        })
+        .collect();
+    let queries: Vec<DeviceQuery<'_>> = qs
+        .iter()
+        .enumerate()
+        .map(|(i, q)| match i % 3 {
+            0 => DeviceQuery::Euclidean(q),
+            1 => DeviceQuery::Manhattan(q),
+            _ => DeviceQuery::Cosine(q),
+        })
+        .collect();
+    for k in [1, 8, 40] {
+        assert_fastpath_equivalent(
+            SsamConfig::default(),
+            |dev| dev.load_vectors(&store),
+            None,
+            &queries,
+            k,
         );
     }
 }

@@ -28,7 +28,9 @@ use proptest::prelude::*;
 use ssam::core::device::DeviceMetric;
 use ssam::core::telemetry::Telemetry;
 use ssam::faults::{CrashSpec, FaultPlan};
-use ssam::store::{Store, StoreConfig};
+use ssam::store::{
+    ShardedStore, ShardedStoreConfig, Store, StoreConfig, StoreError, Wal, WalRecord,
+};
 
 const DIMS: usize = 4;
 const UIDS: u32 = 24;
@@ -217,4 +219,55 @@ fn crash_recovery_smoke_with_chaos_faults() {
     sink.fault_totals()
         .check_closure()
         .expect("fault ledger must close");
+}
+
+/// CRC-valid records this store could not have written are typed errors
+/// from both `Store::open` and `ShardedStore::open`, never an allocation
+/// abort or an overflow panic: a `Compact` for a level the replay has not
+/// built, and any record at `seq == u64::MAX`.
+#[test]
+fn records_the_store_could_not_have_written_are_corrupt_wal() {
+    let image = |records: &[WalRecord]| {
+        let mut wal = Wal::new();
+        for r in records {
+            wal.append(r);
+        }
+        wal.bytes().to_vec()
+    };
+    let insert = WalRecord::Insert {
+        uid: 0,
+        seq: 1,
+        vector: vec![0.5; DIMS],
+    };
+    let cases = [
+        (image(&[WalRecord::Compact { level: 7, seq: 1 }]), 0),
+        // One seal builds level 0 only.
+        (
+            image(&[
+                insert.clone(),
+                WalRecord::Seal { seq: 2 },
+                WalRecord::Compact { level: 1, seq: 3 },
+            ]),
+            2,
+        ),
+        (
+            image(&[
+                insert,
+                WalRecord::Delete {
+                    uid: 0,
+                    seq: u64::MAX,
+                },
+            ]),
+            1,
+        ),
+    ];
+    for (wal, record) in &cases {
+        let expected = Some(StoreError::CorruptWal { record: *record });
+        assert_eq!(Store::open(config(), wal).err(), expected);
+        let sharded = ShardedStore::open(
+            ShardedStoreConfig::new(1, 1, config()),
+            std::slice::from_ref(wal),
+        );
+        assert_eq!(sharded.err(), expected);
+    }
 }

@@ -106,13 +106,7 @@ fn served_store_matches_immutable_rebuild_under_churn() {
 /// explicit compact calls.
 #[test]
 fn maintenance_thread_compacts_in_background() {
-    let server = Server::start_store(
-        Store::create(store_config(4, 4, 2)),
-        ServeConfig {
-            maintenance_interval: Duration::from_micros(100),
-            ..serve_config()
-        },
-    );
+    let server = Server::start_store(Store::create(store_config(4, 4, 2)), serve_config());
     let handle = server.handle();
     for i in 0..64 {
         handle.insert(i, &vector(i as usize, 4)).expect("insert");
