@@ -13,16 +13,19 @@
 //!   window makes every chunk load a prefetch hit. The static cost
 //!   model proves this by synthesizing the counters exactly
 //!   ([`crate::analysis::cost::CostEstimate::stats`], cross-checked
-//!   bit-for-bit against real runs in its tests);
+//!   bit-for-bit against real runs in its tests). The device memoizes
+//!   them per (metric, shard length) until the next load, so a warm
+//!   device never runs the cost model;
 //! * the distance arithmetic is Q16.16 over wrapping `i32`, which the
 //!   host replicates exactly ([`raw_distance`]);
-//! * candidate selection is the hardware shift-register queue, which
-//!   the host reuses *directly* ([`crate::sim::HardwarePriorityQueue`]
-//!   is the same type the simulated PU embeds), so insertion-order tie
-//!   behavior is identical by construction.
+//! * candidate selection is the hardware shift-register queue
+//!   ([`crate::sim::HardwarePriorityQueue`], the same type the simulated
+//!   PU embeds), which orders entries by `(value, id)`. A vault's answer
+//!   is therefore its exact top-k in that order, and [`scan_shard`]
+//!   skips every candidate that order already excludes.
 //!
 //! So the fast path computes each candidate's raw distance host-side,
-//! feeds it through the same priority queue, and takes the counters
+//! selects through the same priority queue, and takes the counters
 //! from the cost model — producing bit-identical neighbors, stats,
 //! timing, fault accounting, and telemetry at a fraction of the cost
 //! (no per-instruction interpretation). The cosine kernel's software
@@ -33,12 +36,14 @@
 //! resolve exactly.
 //!
 //! The `fastpath_equivalence` integration suite drives both executors
-//! over random batches — with and without chaos fault plans — and
-//! asserts bit-identity on every observable.
+//! over random batches — with and without chaos fault plans, over
+//! full-range words and heavily tied shards — and asserts bit-identity
+//! on every observable.
 
 use super::DeviceMetric;
 use crate::analysis::cost::{estimate_with, CostParams};
 use crate::isa::inst::Instruction;
+use crate::sim::pqueue::PqEntry;
 use crate::sim::pu::RunStats;
 use crate::sim::HardwarePriorityQueue;
 
@@ -62,13 +67,6 @@ pub(super) fn synthesize_stats(program: &[Instruction], vl: usize, n: u64) -> Op
     estimate_with(program, vl, n, &CostParams::default()).stats
 }
 
-/// Q16.16 multiply, exactly as [`crate::isa::inst::AluOp::Mult`]
-/// evaluates it on the vector datapath.
-#[inline]
-fn q16_mult(a: i32, b: i32) -> i32 {
-    (((a as i64) * (b as i64)) >> 16) as i32
-}
-
 /// The raw distance word the kernel would leave in `s7` for one
 /// candidate: Q16.16 squared Euclidean / Manhattan distance, or the
 /// plain popcount for Hamming.
@@ -79,10 +77,17 @@ fn q16_mult(a: i32, b: i32) -> i32 {
 /// it is associative and commutative and *any* summation order — here, a
 /// flat index-order loop the compiler can vectorize — yields the same
 /// bits. Per-element terms replicate the vector datapath exactly:
-/// wrapping subtract, Q16.16 multiply, the `(d ^ (d >> 31)) - (d >> 31)`
-/// branch-free absolute value, and xor-popcount. Zero padding (applied
-/// to both the staged query and the stored vectors) contributes
-/// zero-valued terms, just as the padded lanes do on the device.
+/// wrapping subtract, the kernels' `(d ^ (d >> 31)) - (d >> 31)`
+/// branch-free absolute value, xor-popcount, and the Q16.16 square
+/// [`crate::isa::inst::AluOp::Mult`] computes as
+/// `((d as i64 * d as i64) >> 16) as i32`. The host squares `|d|` as an
+/// unsigned 32-bit value instead, which the compiler lowers to one
+/// unsigned 32×32→64 multiply per lane: `|d| ≤ 2³¹`, so `d²` is
+/// non-negative and below 2⁶³, the `i64` and `u64` products are the same
+/// integer, and shifting then truncating to the low 32 bits gives the
+/// same word. Zero padding (applied to both the staged query and the
+/// stored vectors) contributes zero-valued terms, just as the padded
+/// lanes do on the device.
 ///
 /// # Panics
 /// Panics if the slices differ in length (staging guarantees both are
@@ -98,8 +103,8 @@ pub fn raw_distance(metric: DeviceMetric, query: &[i32], cand: &[i32]) -> i32 {
     match metric {
         DeviceMetric::Euclidean => {
             for (&x, &y) in cand.iter().zip(query) {
-                let d = x.wrapping_sub(y);
-                acc = acc.wrapping_add(q16_mult(d, d));
+                let a = x.wrapping_sub(y).unsigned_abs() as u64;
+                acc = acc.wrapping_add(((a * a) >> 16) as i32);
             }
         }
         DeviceMetric::Manhattan => {
@@ -121,31 +126,44 @@ pub fn raw_distance(metric: DeviceMetric, query: &[i32], cand: &[i32]) -> i32 {
 
 /// Scans one shard for one query, exactly as the hardware-queue kernel
 /// would: local ids in scan order, raw Q16.16/popcount distances, and
-/// the real shift-register priority queue for selection. Returns the
-/// queue's best `k` `(local_id, raw_distance)` pairs, best first — the
-/// same tuples the device reads back from a simulated PU's queue.
-pub(super) fn scan_shard(
+/// the real shift-register priority queue for selection. `pq` is reset
+/// first, so one queue (chained to hold `k`) serves a whole batch.
+/// Returns the queue's best `k` entries, best first — the same
+/// `(id, value)` tuples the device reads back from a simulated PU's
+/// queue.
+///
+/// A candidate whose `(value, id)` is not below the queue's current
+/// k-th entry is never inserted: it already has `k` better entries ahead
+/// of it, and entries only ever improve, so it could not reach the
+/// first `k`. The queue's first `k` are thus the shard's exact top-k in
+/// the queue's own order, as on the device; only positions past `k`,
+/// which nobody reads, may differ.
+pub(super) fn scan_shard<'q>(
     metric: DeviceMetric,
     query: &[i32],
     shard_words: &[i32],
     vec_words: usize,
     k: usize,
-    pq_chain: usize,
-) -> Vec<(i32, i32)> {
-    let mut pq = HardwarePriorityQueue::chained(pq_chain);
+    pq: &'q mut HardwarePriorityQueue,
+) -> &'q [PqEntry] {
+    pq.reset();
     for (local, cand) in shard_words.chunks_exact(vec_words).enumerate() {
-        pq.insert(local as i32, raw_distance(metric, query, cand));
+        let (id, value) = (local as i32, raw_distance(metric, query, cand));
+        if pq
+            .load(k - 1)
+            .is_some_and(|kth| (value, id) >= (kth.value, kth.id))
+        {
+            continue;
+        }
+        pq.insert(id, value);
     }
-    pq.entries()
-        .iter()
-        .take(k)
-        .map(|e| (e.id, e.value))
-        .collect()
+    &pq.entries()[..k.min(pq.len())]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::inst::AluOp;
     use crate::isa::DRAM_BASE;
     use crate::kernels::linear;
     use crate::sim::ProcessingUnit;
@@ -205,7 +223,11 @@ mod tests {
                     .map(|e| (e.id, e.value))
                     .collect();
 
-                let fast = scan_shard(metric, &query, &dram, vw, k, 1);
+                let mut pq = HardwarePriorityQueue::new();
+                let fast: Vec<(i32, i32)> = scan_shard(metric, &query, &dram, vw, k, &mut pq)
+                    .iter()
+                    .map(|e| (e.id, e.value))
+                    .collect();
                 assert_eq!(fast, sim, "{} vl={vl}", kernel.name);
                 assert_eq!(
                     synthesize_stats(&kernel.program, vl, n as u64),
@@ -215,6 +237,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The device's Q16.16 multiply in its `i64` form — the scalar twin
+    /// of `raw_distance`'s unsigned-square Euclidean term.
+    fn q16_mult(a: i32, b: i32) -> i32 {
+        (((a as i64) * (b as i64)) >> 16) as i32
+    }
+
+    /// The unsigned square equals the device's signed Q16.16 square for
+    /// every difference, including the wrapping subtractions and
+    /// |d| = 2³¹ that only extreme words reach: per element, and summed
+    /// over a vector long enough to run the vectorized loop body.
+    #[test]
+    fn unsigned_square_term_equals_q16_mult_on_extreme_pairs() {
+        let grid = [
+            i32::MIN,
+            i32::MIN + 1,
+            -(1 << 30),
+            -65_537,
+            -65_536,
+            -65_535,
+            -2,
+            -1,
+            0,
+            1,
+            2,
+            65_535,
+            65_536,
+            65_537,
+            1 << 30,
+            i32::MAX - 1,
+            i32::MAX,
+        ];
+        let (mut xs, mut ys, mut sum) = (Vec::new(), Vec::new(), 0i32);
+        for &x in &grid {
+            for &y in &grid {
+                let d = x.wrapping_sub(y);
+                let term = q16_mult(d, d);
+                assert_eq!(term, AluOp::Mult.eval(d, d), "twin diverges at d={d}");
+                assert_eq!(
+                    raw_distance(DeviceMetric::Euclidean, &[y], &[x]),
+                    term,
+                    "x={x} y={y}"
+                );
+                xs.push(x);
+                ys.push(y);
+                sum = sum.wrapping_add(term);
+            }
+        }
+        assert_eq!(raw_distance(DeviceMetric::Euclidean, &ys, &xs), sum);
     }
 
     #[test]

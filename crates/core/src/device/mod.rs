@@ -39,6 +39,7 @@ use crate::isa::inst::Instruction;
 use crate::isa::{DRAM_BASE, PQUEUE_DEPTH};
 use crate::kernels::{linear, Kernel};
 use crate::sim::pu::{ProcessingUnit, RunStats, SimError};
+use crate::sim::HardwarePriorityQueue;
 use crate::telemetry::{self, Phases, QueryRecord, RecordKind, Telemetry, VaultAccount};
 
 /// Device configuration.
@@ -142,8 +143,16 @@ struct StagedQuery {
     metric: DeviceMetric,
     /// Kernel the query runs.
     kernel: Arc<Kernel>,
-    /// Shared instruction image — one allocation per distinct kernel per
-    /// batch, handed to every recycled PU by `Arc` clone.
+    /// The kernel's staged instruction image, shared by `Arc` with the
+    /// device's kernel cache and every recycled PU.
+    program: Arc<Vec<Instruction>>,
+}
+
+/// A cached kernel beside the instruction image the device stages for it
+/// (optimized or raw, per [`SsamConfig::optimize_kernels`]).
+#[derive(Debug, Clone)]
+struct CachedKernel {
+    kernel: Arc<Kernel>,
     program: Arc<Vec<Instruction>>,
 }
 
@@ -221,7 +230,12 @@ pub struct SsamDevice {
     payload: Option<Payload>,
     vec_words: usize,
     vectors: usize,
-    kernel_cache: HashMap<(DeviceMetric, usize), Arc<Kernel>>,
+    kernel_cache: HashMap<(DeviceMetric, usize), CachedKernel>,
+    /// Fast-path counters per (metric, shard length). They are a pure
+    /// function of (program, vl, shard length), and the program is fixed
+    /// by the metric and the loaded layout, so each is synthesized once
+    /// per load (`None` memoizes "does not resolve; simulate").
+    fast_stats: HashMap<(DeviceMetric, usize), Option<RunStats>>,
     telemetry: Option<Telemetry>,
     faults: Option<Arc<FaultPlan>>,
     /// Disambiguates fault-key streams across device clones (cluster
@@ -251,6 +265,7 @@ impl SsamDevice {
             vec_words: 0,
             vectors: 0,
             kernel_cache: HashMap::new(),
+            fast_stats: HashMap::new(),
             telemetry: None,
             faults: None,
             fault_scope: 0,
@@ -417,15 +432,17 @@ impl SsamDevice {
         self.vec_words = vec_words;
         self.vectors = n;
         self.kernel_cache.clear();
+        self.fast_stats.clear();
     }
 
-    /// Builds (or reuses) the kernel for a metric at the loaded layout.
-    fn kernel_for(&mut self, metric: DeviceMetric, k: usize) -> Arc<Kernel> {
+    /// Builds (or reuses) the kernel for a metric at the loaded layout,
+    /// with the instruction image the device stages for it.
+    fn kernel_for(&mut self, metric: DeviceMetric, k: usize) -> CachedKernel {
         let payload = self.payload.expect("dataset loaded");
         let vl = self.config.vector_length;
         let cache_k = if self.config.use_hw_queue { 0 } else { k };
-        if let Some(kn) = self.kernel_cache.get(&(metric, cache_k)) {
-            return Arc::clone(kn);
+        if let Some(cached) = self.kernel_cache.get(&(metric, cache_k)) {
+            return cached.clone();
         }
         let kernel = match (metric, payload) {
             (DeviceMetric::Euclidean, Payload::Fixed { dims }) => {
@@ -459,10 +476,17 @@ impl SsamDevice {
             (m, p) => panic!("metric {m:?} incompatible with loaded payload {p:?}"),
         };
         debug_assert_eq!(kernel.layout.vec_words, self.vec_words);
-        let kernel = Arc::new(kernel);
-        self.kernel_cache
-            .insert((metric, cache_k), Arc::clone(&kernel));
-        kernel
+        let program = Arc::new(if self.config.optimize_kernels {
+            kernel.program.clone()
+        } else {
+            kernel.raw_program.clone()
+        });
+        let cached = CachedKernel {
+            kernel: Arc::new(kernel),
+            program,
+        };
+        self.kernel_cache.insert((metric, cache_k), cached.clone());
+        cached
     }
 
     /// Quantizes a float query to the scratchpad image (padded).
@@ -515,13 +539,14 @@ impl SsamDevice {
     /// Functionally every query sees exactly the serial
     /// [`SsamDevice::query`] semantics — neighbors and per-query stats are
     /// bit-identical to a serial loop — but the engine walks the vaults
-    /// one after another over the whole batch, synthesizes fast-path
-    /// counters once per (kernel, shard length), builds a vault's
-    /// processing unit only when a query falls back to the cycle
-    /// simulator and recycles it for the rest of the batch
-    /// (architectural-state reset plus query rewrite instead of
-    /// reconstruction), and shares one instruction image per distinct
-    /// kernel instead of cloning it per (query, vault).
+    /// one after another over the whole batch, takes fast-path counters
+    /// from a per-device memo (synthesized once per (metric, shard
+    /// length) and cleared by each load), reuses one fast-path priority
+    /// queue for every (query, vault) cell, builds a vault's processing
+    /// unit only when a query falls back to the cycle simulator and
+    /// recycles it for the rest of the batch (architectural-state reset
+    /// plus query rewrite instead of reconstruction), and hands every
+    /// PU the kernel cache's instruction image by `Arc`.
     /// The batch-level account in [`BatchResult::timing`] additionally
     /// pipelines each vault's runs over a single provisioning decision.
     ///
@@ -549,24 +574,14 @@ impl SsamDevice {
         }
         let payload = self.payload.expect("dataset loaded");
 
-        // Stage every query up front; distinct kernels share one
-        // instruction image across the whole batch.
+        // Stage every query up front; queries of one kernel share the
+        // kernel cache's instruction image.
         let stage_start = std::time::Instant::now();
-        let mut programs: HashMap<String, Arc<Vec<Instruction>>> = HashMap::new();
         let staged: Vec<StagedQuery> = queries
             .iter()
             .map(|q| {
                 let (words, norm) = self.stage_query(q, payload);
-                let kernel = self.kernel_for(q.metric(), k);
-                let optimize = self.config.optimize_kernels;
-                let program =
-                    Arc::clone(programs.entry(kernel.name.clone()).or_insert_with(|| {
-                        Arc::new(if optimize {
-                            kernel.program.clone()
-                        } else {
-                            kernel.raw_program.clone()
-                        })
-                    }));
+                let CachedKernel { kernel, program } = self.kernel_for(q.metric(), k);
                 StagedQuery {
                     words,
                     norm,
@@ -624,6 +639,7 @@ impl SsamDevice {
             (0..k).flat_map(|_| [i32::MAX, -1]).collect()
         };
         let shards = &self.shards;
+        let fast_stats = &mut self.fast_stats;
         let n_vaults = shards.len();
         let batch = staged.len();
 
@@ -632,11 +648,11 @@ impl SsamDevice {
         // (query, vault) cell into its query's row.
         let mut rows: Vec<Vec<(Vec<Neighbor>, RunStats)>> =
             (0..batch).map(|_| Vec::with_capacity(n_vaults)).collect();
-        // Fast-path counters depend only on (program, vl, n), so one
-        // synthesis per (kernel, shard length) serves the whole batch.
-        let mut synth: HashMap<(&str, usize), Option<RunStats>> = HashMap::new();
+        // One fast-path queue, reset per (query, vault) cell.
+        let mut pq = HardwarePriorityQueue::chained(pq_chain);
         for (si, shard) in shards.iter().enumerate() {
-            let budget = 10_000u64 + shard.vectors as u64 * per_vec;
+            let n = shard.vectors as u64;
+            let budget = 10_000u64 + n * per_vec;
             // Built on the vault's first simulator fallback and recycled
             // (architectural-state reset plus query rewrite) for the rest
             // of the batch.
@@ -656,11 +672,9 @@ impl SsamDevice {
                 // not resolve exactly (or that would trip the simulator's
                 // runaway budget) fall through to the cycle simulator.
                 if fast_enabled && fastpath::supported(sq.metric) {
-                    let stats = *synth
-                        .entry((sq.kernel.name.as_str(), shard.vectors))
-                        .or_insert_with(|| {
-                            fastpath::synthesize_stats(&sq.program, vl, shard.vectors as u64)
-                        });
+                    let stats = *fast_stats
+                        .entry((sq.metric, shard.vectors))
+                        .or_insert_with(|| fastpath::synthesize_stats(&sq.program, vl, n));
                     if let Some(stats) = stats.filter(|s| s.instructions <= budget) {
                         let neighbors = fastpath::scan_shard(
                             sq.metric,
@@ -668,11 +682,11 @@ impl SsamDevice {
                             &shard.words,
                             vec_words,
                             k,
-                            pq_chain,
+                            &mut pq,
                         )
-                        .into_iter()
-                        .map(|(id, value)| {
-                            Neighbor::new(shard.first_id + id as u32, host_dist(payload, value))
+                        .iter()
+                        .map(|e| {
+                            Neighbor::new(shard.first_id + e.id as u32, host_dist(payload, e.value))
                         })
                         .collect();
                         rows[qi].push((neighbors, stats));

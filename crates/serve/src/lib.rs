@@ -25,9 +25,9 @@
 //! * **Admission control and backpressure** — the submission queue is
 //!   bounded ([`ServeConfig::queue_capacity`]); submissions beyond it
 //!   are rejected with [`ServeError::Overloaded`] instead of queueing
-//!   unboundedly. Malformed requests (zero `k`, empty or wrong-shape
-//!   queries) are rejected at admission with [`ServeError::BadRequest`]
-//!   before they can reach a worker.
+//!   unboundedly. Malformed requests (zero `k`, `k` above [`MAX_K`],
+//!   empty or wrong-shape queries) are rejected at admission with
+//!   [`ServeError::BadRequest`] before they can reach a worker.
 //! * **Deadlines** — a request may carry a deadline budget
 //!   ([`Request::timeout`]); if it expires while queued the request is
 //!   completed with [`ServeError::DeadlineExceeded`] *before staging* —
@@ -114,6 +114,16 @@ use ssam_store::{
 
 use crate::batcher::{plan, Action, BatchKey, PendingMeta};
 use crate::qos::{FairState, TokenBucket};
+
+/// The largest `k` a request may ask for: [`ServerHandle::submit`]
+/// rejects a larger one with [`ServeError::BadRequest`], in process and
+/// over the wire. 1,024 neighbors is 64 chained 16-entry hardware
+/// queues, and a software-queue kernel's 2·k words (8 KB at the cap)
+/// still fit the 16 KB of scratchpad above its queue base. Without a cap
+/// a single request could make a worker reserve memory for `k` results
+/// of every query in its batch, which aborts the process rather than
+/// panicking the worker.
+pub const MAX_K: usize = 1024;
 
 /// Fault-injection and fault-tolerance configuration for the serving
 /// runtime. [`ServeFaults::default`] injects nothing and degrades
@@ -991,6 +1001,9 @@ impl ServerHandle {
         let shape = &self.shared.shape;
         if req.k == 0 {
             return Err(ServeError::BadRequest("k must be positive"));
+        }
+        if req.k > MAX_K {
+            return Err(ServeError::BadRequest("k exceeds MAX_K"));
         }
         if req.query.len() == 0 {
             return Err(ServeError::BadRequest("query must be non-empty"));

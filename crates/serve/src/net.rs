@@ -21,6 +21,10 @@
 //! [0x44 'D'][uid u32]                             (store delete)
 //! ```
 //!
+//! A query frame's `k` passes the same admission as an in-process
+//! request: `0` or anything above [`crate::MAX_K`] is answered with a
+//! typed `BadRequest`.
+//!
 //! Write frames target a [`Server::start_store`] or
 //! [`Server::start_sharded_store`] backend; against an immutable
 //! backend they answer with a typed `BadRequest`. A write reply is

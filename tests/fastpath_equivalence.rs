@@ -8,14 +8,16 @@
 //! energy, fault records, and coverage must all match the simulator
 //! exactly — including mixed batches where cosine queries fall back to
 //! the simulator mid-batch, software-queue configurations where the fast
-//! path must disable itself, and chaos fault plans where outage cells
-//! and loss accounting interleave with fast-path runs.
+//! path must disable itself, chaos fault plans where outage cells and
+//! loss accounting interleave with fast-path runs, full-range words that
+//! wrap the kernels' subtraction, shards with many tied candidates per
+//! vault, and one device reloaded under its memoized counters.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ssam::core::device::{DeviceQuery, SsamConfig, SsamDevice};
+use ssam::core::device::{BatchResult, DeviceQuery, SsamConfig, SsamDevice};
 use ssam::core::telemetry::Telemetry;
 use ssam::faults::FaultPlan;
 use ssam::knn::binary::BinaryStore;
@@ -32,10 +34,14 @@ fn lcg(x: &mut u64) -> u64 {
 }
 
 fn float_store(seed: u64, n: usize) -> VectorStore {
-    let mut store = VectorStore::with_capacity(DIMS, n);
+    float_store_of(seed, n, DIMS)
+}
+
+fn float_store_of(seed: u64, n: usize, dims: usize) -> VectorStore {
+    let mut store = VectorStore::with_capacity(dims, n);
     let mut x = seed | 1;
     for _ in 0..n {
-        let v: Vec<f32> = (0..DIMS)
+        let v: Vec<f32> = (0..dims)
             .map(|_| ((lcg(&mut x) >> 40) as i32 % 1000) as f32 / 500.0)
             .collect();
         store.push(&v);
@@ -44,12 +50,14 @@ fn float_store(seed: u64, n: usize) -> VectorStore {
 }
 
 fn binary_store(seed: u64, n: usize) -> BinaryStore {
-    let mut store = BinaryStore::new(CODE_WORDS * 32);
+    binary_store_of(seed, n, CODE_WORDS)
+}
+
+fn binary_store_of(seed: u64, n: usize, words: usize) -> BinaryStore {
+    let mut store = BinaryStore::new(words * 32);
     let mut x = seed | 1;
     for _ in 0..n {
-        let code: Vec<u32> = (0..CODE_WORDS)
-            .map(|_| (lcg(&mut x) >> 24) as u32)
-            .collect();
+        let code: Vec<u32> = (0..words).map(|_| (lcg(&mut x) >> 24) as u32).collect();
         store.push(&code);
     }
     store
@@ -78,7 +86,13 @@ fn assert_fastpath_equivalent(
 
     let a = sim.query_batch(queries, k).expect("sim batch");
     let b = fast.query_batch(queries, k).expect("fast batch");
+    assert_same_batch(&a, &b, &sink);
+}
 
+/// Asserts a fast-path batch `b` equals the simulator's batch `a` on
+/// every observable, and that the fast device's telemetry `sink` holds
+/// no violations.
+fn assert_same_batch(a: &BatchResult, b: &BatchResult, sink: &Telemetry) {
     assert_eq!(a.results.len(), b.results.len());
     for (qa, qb) in a.results.iter().zip(&b.results) {
         assert_eq!(qa.neighbors, qb.neighbors, "neighbors diverge");
@@ -263,5 +277,150 @@ fn uneven_shards_and_long_batches_are_bit_identical() {
             &queries,
             k,
         );
+    }
+}
+
+/// Full-range words. Every element is one of 0.0, ±1.0, ±32,768.0 and
+/// ±40,000.0. As Q16.16 words these are 0, ±65,536, then `i32::MAX` and
+/// `i32::MIN` twice over (+32,768.0 and ±40,000.0 saturate; −32,768.0 is
+/// exactly `i32::MIN`). So the kernels' subtraction wraps, and |d|
+/// reaches 2³¹ (`i32::MIN - 0`).
+#[test]
+fn full_range_words_are_bit_identical() {
+    const ALPHABET: [f32; 7] = [0.0, 1.0, -1.0, 32_768.0, -32_768.0, 40_000.0, -40_000.0];
+    let mut x = 0x5eed_u64;
+    let mut row = || -> Vec<f32> {
+        (0..DIMS)
+            .map(|_| ALPHABET[(lcg(&mut x) >> 33) as usize % ALPHABET.len()])
+            .collect()
+    };
+    let mut store = VectorStore::with_capacity(DIMS, 96);
+    for _ in 0..96 {
+        store.push(&row());
+    }
+    let qs: Vec<Vec<f32>> = (0..6).map(|_| row()).collect();
+    let queries: Vec<DeviceQuery<'_>> = qs
+        .iter()
+        .enumerate()
+        .map(|(i, q)| {
+            if i % 2 == 0 {
+                DeviceQuery::Euclidean(q)
+            } else {
+                DeviceQuery::Manhattan(q)
+            }
+        })
+        .collect();
+    for k in [1, 6, 17] {
+        assert_fastpath_equivalent(
+            SsamConfig::default(),
+            |dev| dev.load_vectors(&store),
+            None,
+            &queries,
+            k,
+        );
+    }
+}
+
+/// 48 candidates per vault with few distinct distances: float rows
+/// repeat six base rows, and Hamming codes come from a 4-code alphabet.
+/// Every k below puts the k-th entry inside a run of ties, so the fast
+/// path's reject decides on the value and on the id: at k = 16 the one
+/// 16-entry queue is exactly full, at k = 17 and 40 queues are chained.
+#[test]
+fn many_tied_candidates_per_vault_are_bit_identical() {
+    const N: usize = 32 * 48;
+    let base = float_store(3, 6);
+    let mut floats = VectorStore::with_capacity(DIMS, N);
+    for i in 0..N {
+        floats.push(base.get(((i * 5 + i / 7) % 6) as u32));
+    }
+    let qs: Vec<Vec<f32>> = vec![
+        base.get(2).to_vec(),
+        float_store(5, 1).get(0).to_vec(),
+        vec![0.0; DIMS],
+    ];
+    let float_queries: Vec<DeviceQuery<'_>> = qs
+        .iter()
+        .flat_map(|q| [DeviceQuery::Euclidean(q), DeviceQuery::Manhattan(q)])
+        .collect();
+
+    let alphabet = binary_store(9, 4);
+    let mut codes = BinaryStore::new(CODE_WORDS * 32);
+    for i in 0..N {
+        codes.push(alphabet.get(((i * 5 + i / 3) % 4) as u32));
+    }
+    let probes = [
+        alphabet.get(1).to_vec(),
+        vec![0u32; CODE_WORDS],
+        vec![!0u32; CODE_WORDS],
+    ];
+    let code_queries: Vec<DeviceQuery<'_>> =
+        probes.iter().map(|c| DeviceQuery::Hamming(c)).collect();
+
+    for k in [1, 6, 16, 17, 40] {
+        assert_fastpath_equivalent(
+            SsamConfig::default(),
+            |dev| dev.load_vectors(&floats),
+            None,
+            &float_queries,
+            k,
+        );
+        assert_fastpath_equivalent(
+            SsamConfig::default(),
+            |dev| dev.load_binary(&codes),
+            None,
+            &code_queries,
+            k,
+        );
+    }
+}
+
+/// One fast-path device keeps its synthesized counters only while a
+/// dataset stays loaded. Every batch is compared to a fresh simulator
+/// device after each of: a first float load; a reload with other dims
+/// and the same vector count (same shard lengths, other counters);
+/// binary loads of two code widths; and batches at different k, which
+/// share the hardware-queue kernel and so its counters.
+#[test]
+fn counter_memo_lives_as_long_as_the_loaded_dataset() {
+    let mut fast = SsamDevice::new(SsamConfig {
+        fast_path: true,
+        ..SsamConfig::default()
+    });
+    let sink = Telemetry::default();
+    fast.attach_telemetry(&sink);
+    let check = |fast: &mut SsamDevice,
+                 load: &dyn Fn(&mut SsamDevice),
+                 queries: &[DeviceQuery<'_>],
+                 k: usize| {
+        let mut sim = SsamDevice::new(SsamConfig::default());
+        load(&mut sim);
+        let a = sim.query_batch(queries, k).expect("sim batch");
+        let b = fast.query_batch(queries, k).expect("fast batch");
+        assert_same_batch(&a, &b, &sink);
+    };
+    let float_queries = |store: &VectorStore| -> Vec<Vec<f32>> {
+        (0..3).map(|i| store.get(i * 17).to_vec()).collect()
+    };
+
+    for dims in [DIMS, 20] {
+        let store = float_store_of(11 + dims as u64, 120, dims);
+        let qs = float_queries(&store);
+        let queries: Vec<DeviceQuery<'_>> = qs
+            .iter()
+            .flat_map(|q| [DeviceQuery::Euclidean(q), DeviceQuery::Manhattan(q)])
+            .collect();
+        fast.load_vectors(&store);
+        check(&mut fast, &|dev| dev.load_vectors(&store), &queries, 6);
+    }
+
+    for words in [CODE_WORDS, 5] {
+        let store = binary_store_of(21 + words as u64, 120, words);
+        let qs: Vec<Vec<u32>> = (0..3).map(|i| store.get(i * 13).to_vec()).collect();
+        let queries: Vec<DeviceQuery<'_>> = qs.iter().map(|c| DeviceQuery::Hamming(c)).collect();
+        fast.load_binary(&store);
+        for k in [6, 1, 40] {
+            check(&mut fast, &|dev| dev.load_binary(&store), &queries, k);
+        }
     }
 }
