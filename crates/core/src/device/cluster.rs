@@ -15,33 +15,17 @@
 //! host), and reduces the per-module top-k on the host. Query latency is
 //! therefore `broadcast + max(module time) + collection`, where the link
 //! terms grow with chain depth and the result volume is `modules × k`
-//! tuples — "a fraction of the original dataset size".
+//! tuples — "a fraction of the original dataset size". The model injects
+//! no faults; module failover lives in the sharded store (`ssam-store`).
 
-use std::sync::Arc;
-
-use ssam_faults::{FaultPlan, FaultRecord, ModuleHealth};
+use ssam_faults::FaultRecord;
 use ssam_knn::topk::{Neighbor, TopK};
 use ssam_knn::VectorStore;
 
 use crate::sim::pu::SimError;
 use crate::telemetry::{self, Phases, QueryRecord, RecordKind, Telemetry, VaultAccount};
 
-use super::{DeviceQuery, QueryTiming, SsamConfig, SsamDevice};
-
-/// What happened to one module during a fault-tolerant batch.
-enum ModuleOutcome {
-    /// The module produced results, possibly after `retries` failovers to
-    /// a standby replica.
-    Ran {
-        per_query: Vec<(Vec<Neighbor>, QueryTiming, FaultRecord)>,
-        retries: u64,
-    },
-    /// Degraded module skipped without dispatch (awaiting its next probe).
-    Skipped,
-    /// Every dispatch attempt hit a module outage; its shard is
-    /// uncovered for this batch.
-    Dead { attempts: u64 },
-}
+use super::{BatchResult, DeviceQuery, SsamConfig, SsamDevice};
 
 /// A daisy chain of SSAM modules behind one host.
 #[derive(Debug, Clone)]
@@ -52,17 +36,12 @@ pub struct SsamCluster {
     vectors: usize,
     config: SsamConfig,
     telemetry: Option<Telemetry>,
-    faults: Option<Arc<FaultPlan>>,
-    /// Monotonic batch counter keying module-outage fault decisions.
-    batch_seq: u64,
-    health: Vec<ModuleHealth>,
 }
 
 /// Timing for one cluster query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterTiming {
-    /// End-to-end seconds (broadcast + slowest module + collection,
-    /// plus failover backoff when faults forced retries).
+    /// End-to-end seconds (broadcast + slowest module + collection).
     pub seconds: f64,
     /// Seconds spent broadcasting the query down the chain.
     pub broadcast_seconds: f64,
@@ -70,22 +49,8 @@ pub struct ClusterTiming {
     pub module_seconds: f64,
     /// Seconds collecting per-module results back up the chain.
     pub collect_seconds: f64,
-    /// Seconds of failover backoff (module-outage retries) every query in
-    /// the batch waited on. Zero on the fault-free path.
-    pub recovery_seconds: f64,
     /// Total energy across modules, millijoules.
     pub energy_mj: f64,
-    /// Cluster-level fault accounting for this query (module outages plus
-    /// the member modules' own vault-level records). Trivial without a
-    /// fault plan.
-    pub faults: FaultRecord,
-}
-
-impl ClusterTiming {
-    /// Fraction of the dataset actually scanned for this query.
-    pub fn coverage(&self) -> f64 {
-        self.faults.coverage()
-    }
 }
 
 impl SsamCluster {
@@ -112,44 +77,13 @@ impl SsamCluster {
             first_ids.push(next as u32);
             next += count;
         }
-        let n = devs.len();
         Self {
             modules: devs,
             first_ids,
             vectors: store.len(),
             config,
             telemetry: None,
-            faults: None,
-            batch_seq: 0,
-            health: vec![ModuleHealth::default(); n],
         }
-    }
-
-    /// Attaches (or clears) a fault-injection plan across the whole
-    /// chain. Each member module samples a decorrelated fault stream
-    /// (its index is the key scope); module-outage decisions are made
-    /// here, per batch, with failover to a standby replica under the
-    /// plan's [`RecoveryPolicy`](ssam_faults::RecoveryPolicy). Health
-    /// state resets.
-    pub fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
-        for (mi, dev) in self.modules.iter_mut().enumerate() {
-            dev.set_fault_plan(plan.clone());
-            dev.set_fault_scope(mi as u64);
-            dev.set_fault_attempt(0);
-        }
-        self.faults = plan;
-        self.health = vec![ModuleHealth::default(); self.modules.len()];
-    }
-
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.faults.as_ref()
-    }
-
-    /// Per-module degraded flags (true = health-aware dispatch is
-    /// routing around the module, pending a recovery probe).
-    pub fn degraded_modules(&self) -> Vec<bool> {
-        self.health.iter().map(ModuleHealth::degraded).collect()
     }
 
     /// Attaches a telemetry sink; every subsequent query records a
@@ -159,11 +93,6 @@ impl SsamCluster {
     /// individually for per-vault depth.
     pub fn attach_telemetry(&mut self, sink: &Telemetry) {
         self.telemetry = Some(sink.clone());
-    }
-
-    /// Stops recording telemetry.
-    pub fn detach_telemetry(&mut self) {
-        self.telemetry = None;
     }
 
     /// Number of modules in the chain.
@@ -217,96 +146,12 @@ impl SsamCluster {
         if k == 0 {
             return Err(SimError::ZeroK);
         }
-        let first_ids = self.first_ids.clone();
-        let plan = self.faults.clone();
-        let batch_seq = self.batch_seq;
-        self.batch_seq += 1;
-        // Health-aware dispatch: a degraded module is routed around,
-        // except every `probe_interval` batches when it gets a live probe
-        // to detect recovery.
-        let dispatch: Vec<bool> = match &plan {
-            Some(p) => self
-                .health
-                .iter_mut()
-                .map(|h| !h.route_around(&p.policy))
-                .collect(),
-            None => vec![true; self.modules.len()],
-        };
-        let outcomes: Result<Vec<ModuleOutcome>, SimError> = self
+        let dq: Vec<DeviceQuery<'_>> = queries.iter().map(|q| DeviceQuery::Euclidean(q)).collect();
+        let per_module = self
             .modules
             .iter_mut()
-            .enumerate()
-            .map(|(mi, dev)| {
-                if !dispatch[mi] {
-                    return Ok(ModuleOutcome::Skipped);
-                }
-                let dq: Vec<DeviceQuery<'_>> =
-                    queries.iter().map(|q| DeviceQuery::Euclidean(q)).collect();
-                let (attempt, up) = plan
-                    .as_ref()
-                    .map_or((0, true), |p| p.module_attempts(0, batch_seq, mi as u64));
-                if !up {
-                    return Ok(ModuleOutcome::Dead { attempts: attempt });
-                }
-                let batch = if attempt == 0 {
-                    dev.query_batch(&dq, k)?
-                } else {
-                    // Failover: re-dispatch the batch on a standby replica
-                    // (a clone of the module), then promote the replica to
-                    // primary. The bumped attempt gives the replica a
-                    // fresh — but still deterministic — fault sample.
-                    let mut replica = dev.clone();
-                    replica.set_fault_attempt(attempt);
-                    let b = replica.query_batch(&dq, k)?;
-                    *dev = replica;
-                    dev.set_fault_attempt(0);
-                    b
-                };
-                Ok(ModuleOutcome::Ran {
-                    per_query: batch
-                        .results
-                        .into_iter()
-                        .map(|r| (r.neighbors, r.timing, r.faults))
-                        .collect(),
-                    retries: attempt,
-                })
-            })
-            .collect();
-        let outcomes = outcomes?;
-
-        // Health bookkeeping from this batch's outcomes: a run that needed
-        // a failover counts as a miss, like a module that never came up.
-        if let Some(p) = &plan {
-            for (out, h) in outcomes.iter().zip(&mut self.health) {
-                match out {
-                    ModuleOutcome::Skipped => {}
-                    ModuleOutcome::Ran { retries: 0, .. } => h.succeed(),
-                    ModuleOutcome::Ran { .. } | ModuleOutcome::Dead { .. } => h.miss(&p.policy),
-                }
-            }
-        }
-
-        // Failover backoff (and the module-outage event tally) every
-        // query in this batch waited on.
-        let mut backoff_total = 0.0f64;
-        let mut module_outage_events = 0u64;
-        let mut failed_over = 0u64;
-        if let Some(plan) = &plan {
-            for out in &outcomes {
-                let (retries, died) = match out {
-                    ModuleOutcome::Ran { retries, .. } => (*retries, false),
-                    ModuleOutcome::Dead { attempts } => (attempts - 1, true),
-                    ModuleOutcome::Skipped => continue,
-                };
-                module_outage_events += retries + u64::from(died);
-                if !died {
-                    failed_over += retries;
-                }
-                for a in 1..=retries {
-                    backoff_total += plan.policy.backoff(a as u32);
-                }
-            }
-        }
+            .map(|dev| dev.query_batch(&dq, k))
+            .collect::<Result<Vec<_>, _>>()?;
 
         let depth = self.modules.len() as u64;
         let link_bw = self.config.hmc.external_bandwidth;
@@ -317,43 +162,13 @@ impl SsamCluster {
             let mut top = TopK::new(k);
             let mut module_seconds = 0.0f64;
             let mut energy_mj = 0.0;
-            let mut rec = FaultRecord::default();
-            if plan.is_some() {
-                rec.module_outages = module_outage_events;
-                rec.failed_over = failed_over;
-                rec.recovery_seconds = backoff_total;
-            }
-            for (mi, outcome) in outcomes.iter().enumerate() {
-                let module_len = self.modules[mi].len() as u64;
-                match outcome {
-                    ModuleOutcome::Ran { per_query, .. } => {
-                        let (neighbors, timing, mrec) = &per_query[qi];
-                        for n in neighbors {
-                            top.offer(first_ids[mi] + n.id, n.dist);
-                        }
-                        module_seconds = module_seconds.max(timing.seconds);
-                        energy_mj += timing.energy_mj;
-                        if plan.is_some() {
-                            if mrec.is_trivial() {
-                                rec.total_vectors += module_len;
-                                rec.covered_vectors += module_len;
-                            } else {
-                                // Module-internal recovery time already
-                                // sits inside `timing.seconds` (the
-                                // simulate span); the cluster-level fault
-                                // span is the failover backoff alone.
-                                let cluster_recovery = rec.recovery_seconds;
-                                rec.accumulate(mrec);
-                                rec.recovery_seconds = cluster_recovery;
-                            }
-                        }
-                    }
-                    ModuleOutcome::Skipped | ModuleOutcome::Dead { .. } => {
-                        rec.lost_module += 1;
-                        rec.lost_units.push(mi as u32);
-                        rec.total_vectors += module_len;
-                    }
+            for (batch, &first_id) in per_module.iter().zip(&self.first_ids) {
+                let r = &batch.results[qi];
+                for n in &r.neighbors {
+                    top.offer(first_id + n.id, n.dist);
                 }
+                module_seconds = module_seconds.max(r.timing.seconds);
+                energy_mj += r.timing.energy_mj;
             }
 
             // Link fabric: the query travels down the chain (depth hops),
@@ -368,18 +183,16 @@ impl SsamCluster {
             let collect_seconds = collect_wire_seconds + merge_seconds;
 
             let timing = ClusterTiming {
-                seconds: broadcast_seconds + module_seconds + collect_seconds + backoff_total,
+                seconds: broadcast_seconds + module_seconds + collect_seconds,
                 broadcast_seconds,
                 module_seconds,
                 collect_seconds,
-                recovery_seconds: backoff_total,
                 energy_mj,
-                faults: rec,
             };
 
             if let Some(sink) = &self.telemetry {
                 let link_seconds = broadcast_seconds + collect_wire_seconds;
-                sink.record(self.cluster_record(qi, k, &outcomes, &timing, link_seconds));
+                sink.record(self.cluster_record(qi, k, &per_module, &timing, link_seconds));
             }
             out.push((top.into_sorted(), timing));
         }
@@ -395,43 +208,32 @@ impl SsamCluster {
         &self,
         qi: usize,
         k: usize,
-        outcomes: &[ModuleOutcome],
+        per_module: &[BatchResult],
         timing: &ClusterTiming,
         link_seconds: f64,
     ) -> QueryRecord {
-        let mut accounts = Vec::with_capacity(outcomes.len());
+        let mut accounts = Vec::with_capacity(per_module.len());
         let mut total_cycles = 0u64;
         let mut total_bytes = 0u64;
         let mut pus_per_vault = 1usize;
-        for (mi, outcome) in outcomes.iter().enumerate() {
-            // A module that never ran (skipped or dead) contributes an
-            // empty account: zero work, zero span.
-            let mut account = VaultAccount {
+        for (mi, batch) in per_module.iter().enumerate() {
+            let t = &batch.results[qi].timing;
+            accounts.push(VaultAccount {
                 vault: mi,
-                cycles: 0,
-                bytes: 0,
+                cycles: t.total_cycles,
+                bytes: t.total_bytes,
                 instructions: 0,
                 pqueue_ops: 0,
                 stack_ops: 0,
                 scratchpad_accesses: 0,
-                mem_seconds: 0.0,
-                comp_seconds: 0.0,
-                compute_bound: false,
-                energy_mj: 0.0,
-            };
-            if let ModuleOutcome::Ran { per_query, .. } = outcome {
-                let t = &per_query[qi].1;
-                account.cycles = t.total_cycles;
-                account.bytes = t.total_bytes;
-                account.mem_seconds = if t.compute_bound { 0.0 } else { t.seconds };
-                account.comp_seconds = if t.compute_bound { t.seconds } else { 0.0 };
-                account.compute_bound = t.compute_bound;
-                account.energy_mj = t.energy_mj;
-                total_cycles += t.total_cycles;
-                total_bytes += t.total_bytes;
-                pus_per_vault = pus_per_vault.max(t.pus_per_vault);
-            }
-            accounts.push(account);
+                mem_seconds: if t.compute_bound { 0.0 } else { t.seconds },
+                comp_seconds: if t.compute_bound { t.seconds } else { 0.0 },
+                compute_bound: t.compute_bound,
+                energy_mj: t.energy_mj,
+            });
+            total_cycles += t.total_cycles;
+            total_bytes += t.total_bytes;
+            pus_per_vault = pus_per_vault.max(t.pus_per_vault);
         }
         let (_, _, compute_bound) = telemetry::critical_path(&accounts).unwrap_or((0, 0.0, false));
         QueryRecord {
@@ -447,14 +249,14 @@ impl SsamCluster {
                 simulate_seconds: timing.module_seconds,
                 link_seconds,
                 merge_seconds: (self.modules.len() * k) as f64 * 1e-9,
-                fault_seconds: timing.recovery_seconds,
+                fault_seconds: 0.0,
             },
             seconds: timing.seconds,
             compute_bound,
             total_cycles,
             total_bytes,
             energy_mj: timing.energy_mj,
-            faults: timing.faults.clone(),
+            faults: FaultRecord::default(),
         }
     }
 }

@@ -60,11 +60,12 @@ pub enum SimError {
     /// A device batch entry point was handed an empty query slice.
     ///
     /// Raised by the host-side batch APIs
-    /// ([`crate::device::SsamDevice::query_batch`],
+    /// ([`crate::device::SsamDevice::query_batch`], which the serving
+    /// runtime and the store reach, and the §III-A timing model's
     /// [`crate::device::cluster::SsamCluster::query_batch`]), never by the
     /// PU core itself: an empty batch is a degenerate *request*, not a
-    /// kernel fault, and callers (the serving runtime in particular) need
-    /// a typed rejection rather than a panic.
+    /// kernel fault, and online callers need a typed rejection rather
+    /// than a panic.
     EmptyBatch,
     /// A device batch entry point was handed `k == 0`.
     ///

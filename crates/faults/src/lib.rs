@@ -5,10 +5,11 @@
 //! [`RecoveryPolicy`] describes *how the stack responds* (bounded link
 //! retries, capped exponential backoff for module failover, degradation and
 //! probing thresholds). Every fault decision is a pure function of
-//! `(seed, domain, scope, query_seq, unit, attempt)` via a splitmix64-style
-//! hash, so a run is bit-reproducible: re-executing the same plan over the
-//! same queries injects exactly the same faults, and bumping `attempt` gives
-//! a retry an independent (but still deterministic) outcome.
+//! `(seed, domain, scope, seq, unit)` via a splitmix64-style hash, so a run
+//! is bit-reproducible: re-executing the same plan over the same queries
+//! injects exactly the same faults. A retried module touch also folds its
+//! `attempt` into the key, so each retry draws an independent (but still
+//! deterministic) outcome.
 //!
 //! The [`FaultRecord`] counters travel with telemetry records and obey
 //! closure invariants checked by [`FaultRecord::check_closure`]: every
@@ -26,7 +27,7 @@ fn mix(mut z: u64) -> u64 {
 const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
 // Hash domains keep the independent fault channels decorrelated even when
-// they share the same (scope, seq, unit, attempt) key.
+// they share the same (scope, seq, unit) key.
 const DOMAIN_BIT_EVENTS: u64 = 1;
 const DOMAIN_BIT_KIND: u64 = 2;
 const DOMAIN_BIT_VICTIM: u64 = 3;
@@ -41,7 +42,8 @@ const DOMAIN_CRASH: u64 = 9;
 /// rates so recovery behavior can be tuned (or exercised) independently.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
-    /// Module failover attempts after the initial try (cluster level).
+    /// Module failover attempts after the initial try (sharded-store
+    /// reads and writes).
     pub max_module_retries: u32,
     /// Base of the capped exponential backoff between module retries, seconds.
     pub backoff_base: f64,
@@ -79,57 +81,6 @@ impl RecoveryPolicy {
     }
 }
 
-/// Degrade-and-reprobe health of one replicated module, shared by every
-/// health-aware dispatch path (the immutable cluster's modules and the
-/// sharded store's replicas). A module that misses `degrade_after`
-/// touches in a row is degraded: reads route around it, except for one
-/// live probe every `probe_interval` batches, until a clean touch
-/// restores it.
-#[derive(Debug, Clone, Default)]
-pub struct ModuleHealth {
-    /// Consecutive touches that found the module down.
-    consecutive_faults: u32,
-    /// Routed around on reads, except for periodic probes.
-    degraded: bool,
-    /// Read batches routed around since the last live probe.
-    batches_since_probe: u64,
-}
-
-impl ModuleHealth {
-    /// True while reads route around the module.
-    pub fn degraded(&self) -> bool {
-        self.degraded
-    }
-
-    /// Read-path routing for one batch: a degraded module is routed
-    /// around (`true`, counting the skipped batch) until its probe is
-    /// due; otherwise the batch is a live attempt and the probe clock
-    /// restarts.
-    pub fn route_around(&mut self, policy: &RecoveryPolicy) -> bool {
-        if self.degraded && self.batches_since_probe + 1 < policy.probe_interval {
-            self.batches_since_probe += 1;
-            return true;
-        }
-        self.batches_since_probe = 0;
-        false
-    }
-
-    /// Counts one touch that found the module down; the
-    /// `degrade_after`-th miss in a row degrades it.
-    pub fn miss(&mut self, policy: &RecoveryPolicy) {
-        self.consecutive_faults += 1;
-        if self.consecutive_faults >= policy.degrade_after {
-            self.degraded = true;
-        }
-    }
-
-    /// A clean touch: the miss streak resets and the module is restored.
-    pub fn succeed(&mut self) {
-        self.consecutive_faults = 0;
-        self.degraded = false;
-    }
-}
-
 /// A seeded description of the faults to inject. All rates are per
 /// *opportunity*: `bit_flip_rate` is expected ECC events per (query, vault)
 /// scan, `crc_corruption_rate` is per link-transfer attempt, the outage rates
@@ -163,7 +114,7 @@ pub struct FaultPlan {
     pub straggler_rate: f64,
     /// Multiplicative slowdown applied to a straggling vault's time.
     pub straggler_slowdown: f64,
-    /// Recovery knobs used by the cluster and serve layers.
+    /// Recovery knobs used by the sharded-store and serve layers.
     pub policy: RecoveryPolicy,
 }
 
@@ -274,14 +225,15 @@ impl FaultPlan {
 
     /// Sample every fault channel for one (query, vault) scan.
     ///
-    /// `scope` disambiguates otherwise-identical key streams (cluster module
-    /// index, serve worker index); `attempt` gives retries fresh outcomes.
-    pub fn vault_fault(&self, scope: u64, query_seq: u64, vault: u64, attempt: u64) -> VaultFault {
+    /// `scope` disambiguates otherwise-identical key streams (store
+    /// segment, serve worker index). A vault scan is never retried, so
+    /// its key has no attempt; [`FaultPlan::module_outage`] keeps one.
+    pub fn vault_fault(&self, scope: u64, query_seq: u64, vault: u64) -> VaultFault {
         let mut f = VaultFault {
             slowdown: 1.0,
             ..VaultFault::default()
         };
-        let key_seq = query_seq.wrapping_mul(0x1_0001).wrapping_add(attempt);
+        let key_seq = query_seq.wrapping_mul(0x1_0001);
         if self.dead_vaults.contains(&(vault as u32))
             || (self.vault_outage_rate > 0.0
                 && self.uniform(DOMAIN_VAULT_OUT, scope, key_seq, vault, 0)
@@ -574,16 +526,16 @@ pub struct FaultRecord {
     pub module_outages: u64,
     /// (query, vault) scans that ran at a straggler slowdown.
     pub stragglers: u64,
-    /// Module batches recovered by failover to a healthy clone.
+    /// Module touches recovered by failover to the next replica.
     pub failed_over: u64,
     /// Lost units by terminal cause (units also listed in `lost_units`).
     pub lost_ecc: u64,
     pub lost_link: u64,
     pub lost_outage: u64,
     pub lost_module: u64,
-    /// Ids of lost units: vault ids at device level, module ids at cluster
-    /// level (cluster records also fold in the modules' own lost vaults via
-    /// the cause counters).
+    /// Ids of lost units: vault ids at device level, shard ids at
+    /// sharded-store level (sharded records also fold in the modules' own
+    /// lost vaults).
     pub lost_units: Vec<u32>,
     /// Candidate vectors actually scanned for the query (or batch).
     pub covered_vectors: u64,
@@ -729,23 +681,18 @@ mod tests {
         assert!(plan.is_zero());
         for seq in 0..64 {
             for vault in 0..32 {
-                assert!(plan.vault_fault(0, seq, vault, 0).is_trivial());
+                assert!(plan.vault_fault(0, seq, vault).is_trivial());
             }
             assert!(!plan.module_outage(0, seq, seq % 4, 0));
         }
     }
 
     #[test]
-    fn sampling_is_deterministic_and_attempt_sensitive() {
+    fn sampling_is_deterministic() {
         let plan = FaultPlan::chaos(42);
-        let a = plan.vault_fault(3, 17, 5, 0);
-        let b = plan.vault_fault(3, 17, 5, 0);
+        let a = plan.vault_fault(3, 17, 5);
+        let b = plan.vault_fault(3, 17, 5);
         assert_eq!(a, b);
-        // Across many keys, attempt 1 must differ from attempt 0 somewhere.
-        let differs = (0..256).any(|seq| {
-            (0..32).any(|v| plan.vault_fault(0, seq, v, 0) != plan.vault_fault(0, seq, v, 1))
-        });
-        assert!(differs, "retry attempts never changed the outcome");
     }
 
     #[test]
@@ -777,7 +724,7 @@ mod tests {
         let a = FaultPlan::chaos(1);
         let b = FaultPlan::chaos(2);
         let differs = (0..256)
-            .any(|seq| (0..32).any(|v| a.vault_fault(0, seq, v, 0) != b.vault_fault(0, seq, v, 0)));
+            .any(|seq| (0..32).any(|v| a.vault_fault(0, seq, v) != b.vault_fault(0, seq, v)));
         assert!(differs);
     }
 
@@ -797,7 +744,7 @@ mod tests {
         let mut flips = 0u64;
         let mut stragglers = 0u64;
         for seq in 0..n {
-            let f = plan.vault_fault(0, seq, seq % 32, 0);
+            let f = plan.vault_fault(0, seq, seq % 32);
             if f.outage {
                 outages += 1;
                 continue;
@@ -820,8 +767,8 @@ mod tests {
             ..FaultPlan::default()
         };
         for seq in 0..32 {
-            assert!(plan.vault_fault(0, seq, 7, 0).outage);
-            assert!(!plan.vault_fault(0, seq, 6, 0).outage);
+            assert!(plan.vault_fault(0, seq, 7).outage);
+            assert!(!plan.vault_fault(0, seq, 6).outage);
         }
     }
 
@@ -836,7 +783,7 @@ mod tests {
         let mut saw_failure = false;
         let mut saw_recovery = false;
         for seq in 0..512 {
-            let f = plan.vault_fault(0, seq, 0, 0);
+            let f = plan.vault_fault(0, seq, 0);
             assert!(f.crc_corruptions <= plan.max_link_retries + 1);
             if f.link_failed {
                 assert_eq!(f.crc_corruptions, plan.max_link_retries + 1);

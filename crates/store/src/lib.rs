@@ -125,8 +125,10 @@ pub enum StoreError {
     },
     /// A CRC-valid WAL record that this store could not have written:
     /// a `Compact` for a level the replay has not built, or a record at
-    /// `seq == u64::MAX` (no seq follows it). Returned by
-    /// [`Store::open`] only.
+    /// `seq == u64::MAX` (no seq follows it). [`ShardedStore::open`]
+    /// also rejects a data record for a uid another shard owns, and one
+    /// at a seq a sibling replica holds with a different record.
+    /// Returned by the two `open`s only.
     CorruptWal {
         /// 0-based index of the offending record in the replayed prefix.
         record: usize,

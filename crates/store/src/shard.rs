@@ -22,10 +22,10 @@
 //!   batch over the queries routed to it, and per-shard exact top-k
 //!   merge through the shared `(distance, id)` order is bit-identical to
 //!   a single-module store over the union live set. Downed replicas
-//!   degrade-and-reprobe with capped backoff through the same
-//!   [`ModuleHealth`] machine `SsamCluster` uses. A shard with *no*
-//!   reachable replica is reported as lost coverage — honest per-query
-//!   coverage, like the immutable cluster path.
+//!   degrade-and-reprobe with capped backoff through `ModuleHealth`,
+//!   the workspace's one module-failover state machine. A shard with
+//!   *no* reachable replica is reported as lost coverage — honest
+//!   per-query coverage, like a lost vault on one device.
 //! * **Recovery** — [`ShardedStore::open`] recovers each module from
 //!   its own WAL prefix (any vector of prefixes: crashes tear each
 //!   module independently via [`CrashSpec::torn_tail_for`]), then runs
@@ -45,7 +45,7 @@ use std::sync::Arc;
 
 use ssam_core::device::{DeviceMetric, DeviceQuery};
 use ssam_core::telemetry::{ModuleShardAccount, ShardAccount, Telemetry};
-use ssam_faults::{CrashSpec, FaultPlan, ModuleHealth, RecoveryPolicy};
+use ssam_faults::{CrashSpec, FaultPlan, RecoveryPolicy};
 use ssam_hmc::address::AddressMap;
 use ssam_knn::topk::TopK;
 
@@ -55,8 +55,7 @@ use crate::{
 };
 
 /// Outage-sampling scope for the sharded write path (distinct from the
-/// cluster's scope 0 and the read scope below, so the channels are
-/// decorrelated under one plan).
+/// read scope below, so the channels are decorrelated under one plan).
 const WRITE_OUTAGE_SCOPE: u64 = 0x5353_5457; // "SSTW"
 /// Outage-sampling scope for the sharded read path.
 const READ_OUTAGE_SCOPE: u64 = 0x5353_5452; // "SSTR"
@@ -141,7 +140,7 @@ pub struct ShardRecovery {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WriteFaultLedger {
     /// Replica write attempts that found the module unreachable
-    /// (including retries, mirroring the cluster's outage tally).
+    /// (including retries, as reads count `module_outages`).
     pub write_outages: u64,
     /// Writes whose primary replica was down but that landed on a
     /// standby replica's WAL.
@@ -185,6 +184,50 @@ impl WriteFaultLedger {
     }
 }
 
+/// Degrade-and-reprobe health of one replica module. A module that
+/// misses `degrade_after` touches in a row is degraded: reads route
+/// around it, except for one live probe every `probe_interval` read
+/// batches, until a clean touch restores it.
+#[derive(Debug, Clone, Default)]
+struct ModuleHealth {
+    /// Consecutive touches that found the module down.
+    consecutive_faults: u32,
+    /// Routed around on reads, except for periodic probes.
+    degraded: bool,
+    /// Read batches routed around since the last live probe.
+    batches_since_probe: u64,
+}
+
+impl ModuleHealth {
+    /// Read-path routing for one batch: a degraded module is routed
+    /// around (`true`, counting the skipped batch) until its probe is
+    /// due; otherwise the batch is a live attempt and the probe clock
+    /// restarts.
+    fn route_around(&mut self, policy: &RecoveryPolicy) -> bool {
+        if self.degraded && self.batches_since_probe + 1 < policy.probe_interval {
+            self.batches_since_probe += 1;
+            return true;
+        }
+        self.batches_since_probe = 0;
+        false
+    }
+
+    /// Counts one touch that found the module down; the
+    /// `degrade_after`-th miss in a row degrades it.
+    fn miss(&mut self, policy: &RecoveryPolicy) {
+        self.consecutive_faults += 1;
+        if self.consecutive_faults >= policy.degrade_after {
+            self.degraded = true;
+        }
+    }
+
+    /// A clean touch: the miss streak resets and the module is restored.
+    fn succeed(&mut self) {
+        self.consecutive_faults = 0;
+        self.degraded = false;
+    }
+}
+
 /// One replica module: a full store plus failover state.
 #[derive(Debug, Clone)]
 struct ModuleState {
@@ -225,7 +268,7 @@ pub struct ShardedStore {
     shard_live: Vec<BTreeSet<u32>>,
     faults: Option<Arc<FaultPlan>>,
     telemetry: Option<Telemetry>,
-    /// Read batch counter keying outage samples, like the cluster's.
+    /// Read batch counter keying outage samples.
     read_batches: u64,
     write_ledger: WriteFaultLedger,
     recovery: Option<ShardRecovery>,
@@ -289,7 +332,10 @@ impl ShardedStore {
     /// # Errors
     /// [`StoreError::DimsMismatch`] when an image belongs to a store of
     /// different dimensionality, and [`StoreError::CorruptWal`] when an
-    /// image holds a record its module could not have written.
+    /// image holds a record its module could not have written: one
+    /// [`Store::open`] rejects, a data record for a uid another shard
+    /// owns, or a data record at a seq a sibling replica holds with a
+    /// different record.
     pub fn open(
         config: ShardedStoreConfig,
         images: &[Vec<u8>],
@@ -313,18 +359,29 @@ impl ShardedStore {
         let mut catch_up = 0u64;
         for shard in 0..shards {
             // Union of surviving data records across the shard's
-            // replicas. Sequence numbers are globally unique, so two
-            // replicas holding the same seq hold the same record.
+            // replicas. Writes route by uid and take one global seq, so a
+            // record for another shard's uid, or a seq two replicas hold
+            // with different records, is one this store never wrote.
             let mut union: BTreeMap<u64, WalRecord> = BTreeMap::new();
             let mut have: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); replicas];
             for (r, have_r) in have.iter_mut().enumerate() {
                 let m = shard * replicas + r;
                 let (records, _) = decode_stream(sharded.modules[m].store.wal_bytes());
-                for rec in records {
-                    if matches!(rec, WalRecord::Insert { .. } | WalRecord::Delete { .. }) {
-                        have_r.insert(rec.seq());
-                        union.entry(rec.seq()).or_insert(rec);
+                for (i, rec) in records.into_iter().enumerate() {
+                    let (WalRecord::Insert { uid, .. } | WalRecord::Delete { uid, .. }) = &rec
+                    else {
+                        continue;
+                    };
+                    let seq = rec.seq();
+                    // Bytes, not `==`: a NaN component equals itself.
+                    let conflicts = union
+                        .get(&seq)
+                        .is_some_and(|known| known.encode() != rec.encode());
+                    if sharded.shard_of(*uid) != shard || conflicts {
+                        return Err(StoreError::CorruptWal { record: i });
                     }
+                    have_r.insert(seq);
+                    union.entry(seq).or_insert(rec);
                 }
             }
             // Replay missed records in ascending sequence order through
@@ -461,7 +518,7 @@ impl ShardedStore {
     /// Per-module degraded flags (reads route around `true` modules
     /// except for periodic probes).
     pub fn degraded_modules(&self) -> Vec<bool> {
-        self.modules.iter().map(|m| m.health.degraded()).collect()
+        self.modules.iter().map(|m| m.health.degraded).collect()
     }
 
     /// Per-module missed-write queue depths.
@@ -488,8 +545,7 @@ impl ShardedStore {
     /// Availability of module `m` for one touch: forced outages fail
     /// immediately; otherwise the fault plan's capped-retry outage loop
     /// ([`FaultPlan::module_attempts`]) runs, its outages and retry
-    /// backoff accumulating into `outages` and `backoff` — the cluster's
-    /// failover loop.
+    /// backoff accumulating into `outages` and `backoff`.
     fn module_available(
         &self,
         m: usize,
@@ -900,7 +956,7 @@ impl ShardedStore {
                 shard: m / replicas,
                 replica: m % replicas,
                 behind: ms.pending.len(),
-                degraded: ms.health.degraded(),
+                degraded: ms.health.degraded,
                 down: ms.forced_down,
                 store: ms.store.account(&format!("{label}/m{m}")),
             })
@@ -996,6 +1052,38 @@ mod tests {
         assert_eq!(s.pending_total(), 0);
         s.check_write_ledger()
             .expect("ledger closes after catch-up");
+    }
+
+    #[test]
+    fn downed_replica_degrades_is_probed_and_recovers() {
+        let mut s = ShardedStore::create(config(2, 2));
+        for i in 0..8u32 {
+            s.insert(i, &vec_for(i)).unwrap();
+        }
+        let policy = RecoveryPolicy::default();
+        s.kill_module(0);
+        let read = |s: &mut ShardedStore| s.query(&vec_for(3), DeviceMetric::Euclidean, 2).unwrap();
+        let counts = |r: &StoreQueryResult| (r.faults.module_outages, r.faults.failed_over);
+        // Every touch of the downed primary misses until it degrades.
+        for _ in 0..policy.degrade_after {
+            let r = read(&mut s);
+            assert_eq!(counts(&r), (1, 1));
+            assert_eq!(r.coverage(), 1.0);
+        }
+        // Degraded: routed around, never touched, until its probe is due.
+        for _ in 1..policy.probe_interval {
+            assert_eq!(counts(&read(&mut s)), (0, 1));
+        }
+        // The probe touches it, misses, and it stays degraded.
+        assert_eq!(read(&mut s).faults.module_outages, 1);
+        assert_eq!(s.degraded_modules(), [true, false, false, false]);
+        // Revived, it is routed around until the next probe restores it.
+        s.revive_module(0);
+        for _ in 1..policy.probe_interval {
+            assert_eq!(counts(&read(&mut s)), (0, 1));
+        }
+        assert_eq!(counts(&read(&mut s)), (0, 0));
+        assert_eq!(s.degraded_modules(), [false; 4]);
     }
 
     #[test]

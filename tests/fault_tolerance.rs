@@ -20,7 +20,6 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ssam::core::device::cluster::SsamCluster;
 use ssam::core::device::{DeviceQuery, SsamConfig, SsamDevice};
 use ssam::core::telemetry::Telemetry;
 use ssam::faults::FaultPlan;
@@ -215,92 +214,4 @@ proptest! {
             prop_assert!((rb.coverage() - 1.0).abs() == 0.0);
         }
     }
-}
-
-/// Cluster-level chaos: module outages fail over to replicas (or are
-/// surfaced as lost), the cluster-scope record closes, backoff shows up
-/// as recovery time, and the telemetry sink stays clean.
-#[test]
-fn cluster_chaos_accounting_closes() {
-    let full = store(256, 11);
-    let mut cluster = SsamCluster::build(SsamConfig::default(), 4, &full);
-    let sink = Telemetry::default();
-    cluster.attach_telemetry(&sink);
-    cluster.set_fault_plan(Some(Arc::new(FaultPlan {
-        seed: 17,
-        module_outage_rate: 0.35,
-        bit_flip_rate: 0.5,
-        crc_corruption_rate: 0.1,
-        ..FaultPlan::default()
-    })));
-
-    let mut x = 23u64;
-    let mut saw_failover = false;
-    let mut saw_module_loss = false;
-    for round in 0..12 {
-        let queries: Vec<Vec<f32>> = (0..2).map(|_| float_vec(&mut x)).collect();
-        let qs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-        let per_query = cluster.query_batch(&qs, 4).expect("cluster chaos batch");
-        for (neighbors, timing) in &per_query {
-            timing.faults.check_closure().expect("cluster closure");
-            assert!(timing.recovery_seconds >= 0.0);
-            if timing.faults.failed_over > 0 {
-                saw_failover = true;
-                assert!(
-                    timing.recovery_seconds > 0.0,
-                    "failover without backoff charged (round {round})"
-                );
-            }
-            if timing.faults.lost_module > 0 {
-                saw_module_loss = true;
-                assert!(timing.coverage() < 1.0);
-            }
-            assert!(neighbors.len() <= 4);
-        }
-    }
-    assert!(
-        saw_failover || saw_module_loss,
-        "chaos rates never produced a module event in 12 batches — plan too weak"
-    );
-    assert!(
-        sink.violations().is_empty(),
-        "cluster telemetry violations: {:?}",
-        sink.violations()
-    );
-}
-
-/// Degraded modules stop receiving work and are probed back to health.
-#[test]
-fn cluster_degrades_and_recovers_modules() {
-    let full = store(128, 5);
-    let mut cluster = SsamCluster::build(SsamConfig::default(), 2, &full);
-    // Module 1 permanently dead: every batch fails over and exhausts
-    // retries, so after `degrade_after` consecutive faulted batches the
-    // cluster marks it degraded and routes around it.
-    cluster.set_fault_plan(Some(Arc::new(FaultPlan {
-        seed: 3,
-        dead_modules: vec![1],
-        ..FaultPlan::default()
-    })));
-
-    let mut x = 31u64;
-    let degrade_after = FaultPlan::default().policy.degrade_after as usize;
-    for _ in 0..degrade_after {
-        let q = float_vec(&mut x);
-        let per_query = cluster.query_batch(&[&q], 4).expect("batch");
-        let timing = &per_query[0].1;
-        assert_eq!(timing.faults.lost_module, 1);
-        assert!(timing.coverage() < 1.0);
-    }
-    assert_eq!(cluster.degraded_modules(), vec![false, true]);
-
-    // While degraded, most batches skip the module entirely (still
-    // partial coverage, but no retry storm); every probe_interval-th
-    // batch re-probes it, fails again, and keeps it degraded.
-    for _ in 0..4 {
-        let q = float_vec(&mut x);
-        let per_query = cluster.query_batch(&[&q], 4).expect("batch");
-        assert!(per_query[0].1.coverage() < 1.0);
-    }
-    assert_eq!(cluster.degraded_modules(), vec![false, true]);
 }

@@ -270,4 +270,34 @@ fn records_the_store_could_not_have_written_are_corrupt_wal() {
         );
         assert_eq!(sharded.err(), expected);
     }
+    // Each image below opens alone; together they hold a uid on the
+    // wrong shard (2 shards × 1 replica), or two replicas that disagree
+    // at one seq (1 shard × 2 replicas).
+    let at = |uid, seq, x| WalRecord::Insert {
+        uid,
+        seq,
+        vector: vec![x; DIMS],
+    };
+    let sharded_cases = [
+        (
+            2,
+            1,
+            [
+                image(&[at(0, 1, 0.0), at(1, 3, 0.0)]),
+                image(&[at(1, 2, 0.0)]),
+            ],
+            1,
+        ),
+        (1, 2, [image(&[at(0, 1, 0.0)]), image(&[at(0, 1, 0.9)])], 0),
+    ];
+    for (shards, replicas, images, record) in &sharded_cases {
+        let sharded = ShardedStore::open(
+            ShardedStoreConfig::new(*shards, *replicas, config()),
+            images,
+        );
+        assert_eq!(
+            sharded.err(),
+            Some(StoreError::CorruptWal { record: *record })
+        );
+    }
 }
