@@ -20,15 +20,22 @@
 //!   host replicates exactly ([`raw_distance`]);
 //! * candidate selection is the hardware shift-register queue
 //!   ([`crate::sim::HardwarePriorityQueue`], the same type the simulated
-//!   PU embeds), which orders entries by `(value, id)`. A vault's answer
-//!   is therefore its exact top-k in that order, and [`scan_shard`]
-//!   skips every candidate that order already excludes.
+//!   PU embeds), which orders entries by `(value, id)`, and [`scan_shard`]
+//!   skips every candidate that order already excludes;
+//! * the host merge is the only reader of a vault's list, so
+//!   [`scan_bounded`] also abandons a candidate mid-vector once its
+//!   partial sum shows it cannot enter the query's merged top-k: against
+//!   the vault queue's k-th value and against the k-th smallest value
+//!   the query's earlier kept vaults returned ([`fold_kept`]). It runs
+//!   only where [`cannot_wrap`] proves no partial sum wraps; elsewhere
+//!   the full loop runs. A vault's list is then no longer its own exact
+//!   top-k, but the merged answer is bit-identical (DESIGN §11).
 //!
-//! So the fast path computes each candidate's raw distance host-side,
-//! selects through the same priority queue, and takes the counters
-//! from the cost model — producing bit-identical neighbors, stats,
-//! timing, fault accounting, and telemetry at a fraction of the cost
-//! (no per-instruction interpretation). The cosine kernel's software
+//! So the fast path computes each surviving candidate's raw distance
+//! host-side, selects through the same priority queue, and takes the
+//! counters from the cost model — producing bit-identical neighbors,
+//! stats, timing, fault accounting, and telemetry at a fraction of the
+//! cost (no per-instruction interpretation). The cosine kernel's software
 //! division and the software-queue variants have data-dependent control
 //! flow, so their counters are *not* static functions of `(program, vl,
 //! n)`; those queries fall back to the cycle simulator (see
@@ -37,8 +44,8 @@
 //!
 //! The `fastpath_equivalence` integration suite drives both executors
 //! over random batches — with and without chaos fault plans, over
-//! full-range words and heavily tied shards — and asserts bit-identity
-//! on every observable.
+//! full-range words, heavily tied shards and rows at the served width —
+//! and asserts bit-identity on every observable.
 
 use super::DeviceMetric;
 use crate::analysis::cost::{estimate_with, CostParams};
@@ -65,6 +72,41 @@ pub(super) fn supported(metric: DeviceMetric) -> bool {
 /// cycle simulator in that case.
 pub(super) fn synthesize_stats(program: &[Instruction], vl: usize, n: u64) -> Option<RunStats> {
     estimate_with(program, vl, n, &CostParams::default()).stats
+}
+
+/// Words the bounded scan adds up between two checks of a candidate's
+/// partial sum against its bound.
+const ABANDON_BLOCK: usize = 16;
+
+/// The Q16.16 squared-difference term of one word pair: the unsigned
+/// square of the wrapped difference (see [`raw_distance`]).
+#[inline(always)]
+fn euclidean_term(x: i32, y: i32) -> i32 {
+    let a = x.wrapping_sub(y).unsigned_abs() as u64;
+    ((a * a) >> 16) as i32
+}
+
+/// The absolute-difference term of one word pair, with the kernels'
+/// branch-free absolute value.
+#[inline(always)]
+fn manhattan_term(x: i32, y: i32) -> i32 {
+    let d = x.wrapping_sub(y);
+    let m = d >> 31;
+    (d ^ m).wrapping_sub(m)
+}
+
+/// The xor-popcount term of one word pair.
+#[inline(always)]
+fn hamming_term(x: i32, y: i32) -> i32 {
+    (x ^ y).count_ones() as i32
+}
+
+/// Wrapping sum of `term` over the word pairs of `cand` and `query`.
+#[inline(always)]
+fn sum_terms(term: impl Fn(i32, i32) -> i32, query: &[i32], cand: &[i32]) -> i32 {
+    cand.iter()
+        .zip(query)
+        .fold(0i32, |acc, (&x, &y)| acc.wrapping_add(term(x, y)))
 }
 
 /// The raw distance word the kernel would leave in `s7` for one
@@ -99,29 +141,37 @@ pub(super) fn synthesize_stats(program: &[Instruction], vl: usize, n: u64) -> Op
 /// ones.
 pub fn raw_distance(metric: DeviceMetric, query: &[i32], cand: &[i32]) -> i32 {
     assert_eq!(query.len(), cand.len(), "candidate/query width mismatch");
-    let mut acc = 0i32;
     match metric {
-        DeviceMetric::Euclidean => {
-            for (&x, &y) in cand.iter().zip(query) {
-                let a = x.wrapping_sub(y).unsigned_abs() as u64;
-                acc = acc.wrapping_add(((a * a) >> 16) as i32);
-            }
-        }
-        DeviceMetric::Manhattan => {
-            for (&x, &y) in cand.iter().zip(query) {
-                let d = x.wrapping_sub(y);
-                let m = d >> 31;
-                acc = acc.wrapping_add((d ^ m).wrapping_sub(m));
-            }
-        }
-        DeviceMetric::Hamming => {
-            for (&x, &y) in cand.iter().zip(query) {
-                acc = acc.wrapping_add((x ^ y).count_ones() as i32);
-            }
-        }
+        DeviceMetric::Euclidean => sum_terms(euclidean_term, query, cand),
+        DeviceMetric::Manhattan => sum_terms(manhattan_term, query, cand),
+        DeviceMetric::Hamming => sum_terms(hamming_term, query, cand),
         DeviceMetric::Cosine => unreachable!("cosine has no analytic fast path"),
     }
-    acc
+}
+
+/// The no-wrap proof for one (query, shard) cell: whether every partial
+/// sum of `metric`'s terms over `vec_words` words is non-negative and at
+/// most `i32::MAX`, given that no query or stored word exceeds `max_abs`
+/// in magnitude (`max_abs` is the shard's max |word| plus the query's).
+///
+/// Then `|x − y| ≤ max_abs` never wraps, every term is non-negative and
+/// bounded, and a partial sum is a lower bound on the candidate's final
+/// raw value — the premise of [`scan_bounded`]. Computed in `u64`:
+/// * Euclidean: `max_abs ≤ i32::MAX` and
+///   `vec_words · ((max_abs²) >> 16) ≤ i32::MAX`;
+/// * Manhattan: `vec_words · max_abs ≤ i32::MAX`;
+/// * Hamming: `vec_words · 32 ≤ i32::MAX` (a word adds at most 32).
+pub(super) fn cannot_wrap(metric: DeviceMetric, max_abs: u64, vec_words: usize) -> bool {
+    let cap = i32::MAX as u64;
+    let n = vec_words as u64;
+    match metric {
+        DeviceMetric::Euclidean => {
+            max_abs <= cap && n.saturating_mul((max_abs * max_abs) >> 16) <= cap
+        }
+        DeviceMetric::Manhattan => n.saturating_mul(max_abs) <= cap,
+        DeviceMetric::Hamming => n.saturating_mul(32) <= cap,
+        DeviceMetric::Cosine => false,
+    }
 }
 
 /// Scans one shard for one query, exactly as the hardware-queue kernel
@@ -138,6 +188,10 @@ pub fn raw_distance(metric: DeviceMetric, query: &[i32], cand: &[i32]) -> i32 {
 /// first `k`. The queue's first `k` are thus the shard's exact top-k in
 /// the queue's own order, as on the device; only positions past `k`,
 /// which nobody reads, may differ.
+///
+/// This is the full loop: every candidate's every word. The batch engine
+/// runs it for a cell that fails [`cannot_wrap`], and it is the scalar
+/// twin the unit tests hold [`scan_bounded`] to.
 pub(super) fn scan_shard<'q>(
     metric: DeviceMetric,
     query: &[i32],
@@ -158,6 +212,102 @@ pub(super) fn scan_shard<'q>(
         pq.insert(id, value);
     }
     &pq.entries()[..k.min(pq.len())]
+}
+
+/// [`scan_shard`] with early abandoning, for a cell that passes
+/// [`cannot_wrap`]. A candidate's terms are added up
+/// [`ABANDON_BLOCK`] words at a time, and the candidate is dropped as
+/// soon as its partial sum exceeds `min(theta, kth) − 1`, where `kth`
+/// is the queue's current k-th value and `theta` the query's cross-vault
+/// bound ([`fold_kept`]). Under the no-wrap proof a partial sum never
+/// exceeds the final value, and scan-order ids ascend, so against `kth`
+/// this is [`scan_shard`]'s `(value, id)` reject applied early; against
+/// `theta` it drops candidates the host merge cannot keep. A survivor is
+/// inserted with its full value. Returns the queue's best `k` entries
+/// and the number of words read.
+///
+/// The queue's first `k` are therefore the shard's exact top-k among
+/// candidates below `theta`: no longer the shard's own top-k, but the
+/// merged answer is unchanged (DESIGN §11).
+pub(super) fn scan_bounded<'q>(
+    metric: DeviceMetric,
+    query: &[i32],
+    shard_words: &[i32],
+    vec_words: usize,
+    k: usize,
+    theta: Option<i32>,
+    pq: &'q mut HardwarePriorityQueue,
+) -> (&'q [PqEntry], u64) {
+    pq.reset();
+    let read = match metric {
+        DeviceMetric::Euclidean => {
+            bounded(euclidean_term, query, shard_words, vec_words, k, theta, pq)
+        }
+        DeviceMetric::Manhattan => {
+            bounded(manhattan_term, query, shard_words, vec_words, k, theta, pq)
+        }
+        DeviceMetric::Hamming => bounded(hamming_term, query, shard_words, vec_words, k, theta, pq),
+        DeviceMetric::Cosine => unreachable!("cosine has no analytic fast path"),
+    };
+    (&pq.entries()[..k.min(pq.len())], read)
+}
+
+/// The one bounded scan, monomorphized per metric term. Returns the
+/// words read.
+#[inline(always)]
+fn bounded(
+    term: impl Fn(i32, i32) -> i32 + Copy,
+    query: &[i32],
+    shard_words: &[i32],
+    vec_words: usize,
+    k: usize,
+    theta: Option<i32>,
+    pq: &mut HardwarePriorityQueue,
+) -> u64 {
+    // `acc > limit` is `acc ≥ min(theta, kth)`; with neither bound set,
+    // `i32::MAX` admits every sum the proof allows.
+    let mut limit = theta.map_or(i32::MAX, |t| t.saturating_sub(1));
+    let (q_blocks, q_tail) = query.as_chunks::<ABANDON_BLOCK>();
+    let mut read = 0u64;
+    'scan: for (local, cand) in shard_words.chunks_exact(vec_words).enumerate() {
+        let (c_blocks, c_tail) = cand.as_chunks::<ABANDON_BLOCK>();
+        let mut acc = 0i32;
+        for (c, q) in c_blocks.iter().zip(q_blocks) {
+            acc = acc.wrapping_add(sum_terms(term, q, c));
+            read += ABANDON_BLOCK as u64;
+            if acc > limit {
+                continue 'scan;
+            }
+        }
+        acc = acc.wrapping_add(sum_terms(term, q_tail, c_tail));
+        read += c_tail.len() as u64;
+        if acc > limit {
+            continue;
+        }
+        pq.insert(local as i32, acc);
+        if let Some(kth) = pq.load(k - 1) {
+            limit = limit.min(kth.value - 1);
+        }
+    }
+    read
+}
+
+/// Folds one kept cell's entries (best first) into `best`: the `k`
+/// smallest raw values a query's kept vaults have returned so far,
+/// ascending. Once `best` holds `k` values, `best[k − 1]` is the query's
+/// cross-vault bound `theta` for [`scan_bounded`]: the host merge orders
+/// by `(host_dist(raw), id)`, `host_dist` never decreases as `raw`
+/// grows, and every later vault's ids are larger, so those `k` entries
+/// precede any later candidate whose raw value is at least `theta`.
+pub(super) fn fold_kept(best: &mut Vec<i32>, entries: &[PqEntry], k: usize) {
+    for e in entries {
+        let at = best.partition_point(|&v| v <= e.value);
+        if at >= k {
+            break; // entries ascend: the rest land past `k` too
+        }
+        best.insert(at, e.value);
+        best.truncate(k);
+    }
 }
 
 #[cfg(test)]
@@ -287,6 +437,81 @@ mod tests {
             }
         }
         assert_eq!(raw_distance(DeviceMetric::Euclidean, &ys, &xs), sum);
+    }
+
+    /// The bounded scan against its scalar twin, the full loop: with no
+    /// cross-vault bound it returns exactly the full loop's entries, and
+    /// with one it returns exactly the full loop's entries below it. For
+    /// each metric, widths below, at and past one 16-word block, k up to
+    /// a chained queue, spread and heavily tied words, and bounds at,
+    /// just above and below the full loop's values.
+    #[test]
+    fn bounded_scan_keeps_exactly_the_full_loops_entries_below_theta() {
+        let n = 40usize;
+        for metric in [
+            DeviceMetric::Euclidean,
+            DeviceMetric::Manhattan,
+            DeviceMetric::Hamming,
+        ] {
+            for (vw, modulus) in [(4, 65_536), (16, 65_536), (20, 4), (36, 65_536), (36, 3)] {
+                let small = |w: &i32| w % modulus - modulus / 2;
+                let words: Vec<i32> = lcg_words(n * vw, vw as u64).iter().map(small).collect();
+                let query: Vec<i32> = lcg_words(vw, 7 + vw as u64).iter().map(small).collect();
+                assert!(cannot_wrap(metric, 2 * modulus as u64, vw));
+                for k in [1, 6, 17] {
+                    let mut pq = HardwarePriorityQueue::chained(2);
+                    let full = scan_shard(metric, &query, &words, vw, k, &mut pq).to_vec();
+                    let mut thetas = vec![None, Some(0), Some(i32::MAX)];
+                    for e in &full {
+                        thetas.extend([Some(e.value), Some(e.value + 1)]);
+                    }
+                    for theta in thetas {
+                        let (got, read) =
+                            scan_bounded(metric, &query, &words, vw, k, theta, &mut pq);
+                        let want: Vec<PqEntry> = full
+                            .iter()
+                            .filter(|e| theta.is_none_or(|t| e.value < t))
+                            .copied()
+                            .collect();
+                        assert_eq!(
+                            got,
+                            want.as_slice(),
+                            "{metric:?} vw={vw} k={k} theta={theta:?}"
+                        );
+                        assert!(read <= (n * vw) as u64);
+                        if theta.is_none() {
+                            assert!(read >= (k.min(n) * vw) as u64);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The no-wrap proof at its edges: the largest per-word magnitude each
+    /// metric admits at a width, and one past it.
+    #[test]
+    fn no_wrap_proof_admits_exactly_the_sums_that_fit() {
+        let cap = i32::MAX as u64;
+        // Manhattan: 100 · m ≤ cap.
+        assert!(cannot_wrap(DeviceMetric::Manhattan, cap / 100, 100));
+        assert!(!cannot_wrap(DeviceMetric::Manhattan, cap / 100 + 1, 100));
+        // Euclidean: the largest m with 100 · ((m²) >> 16) ≤ cap.
+        let fits = |m: u64| 100 * ((m * m) >> 16) <= cap;
+        let guess = (((cap / 100 + 1) << 16) as f64).sqrt() as u64;
+        let edge = (guess - 4..guess + 4)
+            .rev()
+            .find(|&m| fits(m))
+            .expect("edge");
+        assert!(!fits(edge + 1));
+        assert!(cannot_wrap(DeviceMetric::Euclidean, edge, 100));
+        assert!(!cannot_wrap(DeviceMetric::Euclidean, edge + 1, 100));
+        // Full-range words fail both; a shard and a query at 2³¹ each do
+        // not overflow the proof's own arithmetic.
+        assert!(!cannot_wrap(DeviceMetric::Euclidean, 1 << 32, 1));
+        assert!(!cannot_wrap(DeviceMetric::Manhattan, 1 << 32, 1));
+        assert!(cannot_wrap(DeviceMetric::Hamming, 1 << 32, 100));
+        assert!(!cannot_wrap(DeviceMetric::Cosine, 0, 1));
     }
 
     #[test]

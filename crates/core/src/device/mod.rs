@@ -131,6 +131,8 @@ struct Shard {
     words: Arc<Vec<i32>>,
     first_id: u32,
     vectors: usize,
+    /// Largest |word| in the shard (the fast path's no-wrap proof).
+    max_abs: u32,
 }
 
 /// One query staged for batched execution.
@@ -139,6 +141,8 @@ struct StagedQuery {
     words: Vec<i32>,
     /// Cosine `s10` query norm, when the kernel needs it.
     norm: Option<i32>,
+    /// Largest |word| of the image (the fast path's no-wrap proof).
+    max_abs: u32,
     /// Metric the query selects (fast-path eligibility).
     metric: DeviceMetric,
     /// Kernel the query runs.
@@ -243,6 +247,9 @@ pub struct SsamDevice {
     fault_scope: u64,
     /// Monotonic query counter keying per-(query, vault) fault decisions.
     query_seq: u64,
+    /// Words the fast path's scans have read: a work count, not a
+    /// timing, for the unit test that gates early abandoning.
+    fast_words: u64,
 }
 
 impl SsamDevice {
@@ -268,6 +275,7 @@ impl SsamDevice {
             faults: None,
             fault_scope: 0,
             query_seq: 0,
+            fast_words: 0,
         }
     }
 
@@ -303,6 +311,12 @@ impl SsamDevice {
             .iter()
             .map(|s| (s.first_id, s.vectors))
             .collect()
+    }
+
+    /// Words the fast path's scans have read since the device was built.
+    #[cfg(test)]
+    fn fast_words(&self) -> u64 {
+        self.fast_words
     }
 
     /// Device configuration.
@@ -367,10 +381,14 @@ impl SsamDevice {
         let vw = dims.div_ceil(vl) * vl;
         self.stage(store.len(), vw, Payload::Fixed { dims }, |id, out| {
             let v = store.get(id);
-            for &x in v {
-                out.push(Fix32::from_f32(x).0);
-            }
+            let mut max_abs = 0u32;
+            out.extend(v.iter().map(|&x| {
+                let w = Fix32::from_f32(x).0;
+                max_abs = max_abs.max(w.unsigned_abs());
+                w
+            }));
             out.resize(out.len() + (vw - v.len()), 0);
+            max_abs
         });
     }
 
@@ -381,19 +399,26 @@ impl SsamDevice {
         let words = store.words_per_vec();
         let vw = words.div_ceil(vl) * vl;
         self.stage(store.len(), vw, Payload::Binary { words }, |id, out| {
-            for &w in store.get(id) {
-                out.push(w as i32);
-            }
+            let mut max_abs = 0u32;
+            out.extend(store.get(id).iter().map(|&w| {
+                let w = w as i32;
+                max_abs = max_abs.max(w.unsigned_abs());
+                w
+            }));
             out.resize(out.len() + (vw - words), 0);
+            max_abs
         });
     }
 
+    /// Shards `n` vectors of `vec_words` words each across the vaults.
+    /// `emit` appends one vector's padded words and returns their max
+    /// |word|, so each shard's bound comes from the loop that writes it.
     fn stage(
         &mut self,
         n: usize,
         vec_words: usize,
         payload: Payload,
-        mut emit: impl FnMut(u32, &mut Vec<i32>),
+        mut emit: impl FnMut(u32, &mut Vec<i32>) -> u32,
     ) {
         let vaults = self.config.hmc.vaults.min(n);
         let per = n.div_ceil(vaults);
@@ -402,13 +427,15 @@ impl SsamDevice {
         while next < n {
             let count = per.min(n - next);
             let mut words = Vec::with_capacity(count * vec_words);
+            let mut max_abs = 0u32;
             for id in next..next + count {
-                emit(id as u32, &mut words);
+                max_abs = max_abs.max(emit(id as u32, &mut words));
             }
             shards.push(Shard {
                 words: Arc::new(words),
                 first_id: next as u32,
                 vectors: count,
+                max_abs,
             });
             next += count;
         }
@@ -574,6 +601,7 @@ impl SsamDevice {
                 let (words, norm) = self.stage_query(q, payload);
                 let CachedKernel { kernel, program } = self.kernel_for(q.metric(), k);
                 StagedQuery {
+                    max_abs: words.iter().map(|w| w.unsigned_abs()).max().unwrap_or(0),
                     words,
                     norm,
                     metric: q.metric(),
@@ -634,6 +662,10 @@ impl SsamDevice {
             (0..batch).map(|_| Vec::with_capacity(n_vaults)).collect();
         // One fast-path queue, reset per (query, vault) cell.
         let mut pq = HardwarePriorityQueue::chained(pq_chain);
+        // Per query, the k smallest raw values its kept fast-path cells
+        // have returned: the cross-vault bound of early abandoning.
+        let mut kept: Vec<Vec<i32>> = (0..batch).map(|_| Vec::with_capacity(k)).collect();
+        let mut fast_words = 0u64;
         for (si, shard) in shards.iter().enumerate() {
             let n = shard.vectors as u64;
             let budget = 10_000u64 + n * per_vec;
@@ -660,19 +692,48 @@ impl SsamDevice {
                         .entry((sq.metric, shard.vectors))
                         .or_insert_with(|| fastpath::synthesize_stats(&sq.program, vl, n));
                     if let Some(stats) = stats.filter(|s| s.instructions <= budget) {
-                        let neighbors = fastpath::scan_shard(
-                            sq.metric,
-                            &sq.words,
-                            &shard.words,
-                            vec_words,
-                            k,
-                            &mut pq,
-                        )
-                        .iter()
-                        .map(|e| {
-                            Neighbor::new(shard.first_id + e.id as u32, host_dist(payload, e.value))
-                        })
-                        .collect();
+                        // Early abandoning against the query's
+                        // cross-vault bound where no partial sum can
+                        // wrap; the full loop everywhere else.
+                        let max_abs = u64::from(shard.max_abs) + u64::from(sq.max_abs);
+                        let entries = if fastpath::cannot_wrap(sq.metric, max_abs, vec_words) {
+                            let theta = kept[qi].get(k - 1).copied();
+                            let (entries, read) = fastpath::scan_bounded(
+                                sq.metric,
+                                &sq.words,
+                                &shard.words,
+                                vec_words,
+                                k,
+                                theta,
+                                &mut pq,
+                            );
+                            fast_words += read;
+                            entries
+                        } else {
+                            fast_words += shard.words.len() as u64;
+                            fastpath::scan_shard(
+                                sq.metric,
+                                &sq.words,
+                                &shard.words,
+                                vec_words,
+                                k,
+                                &mut pq,
+                            )
+                        };
+                        // A lost vault's entries never reach the merge,
+                        // so they must not tighten the bound.
+                        if !fg.is_some_and(|g| g[qi][si].lost()) {
+                            fastpath::fold_kept(&mut kept[qi], entries, k);
+                        }
+                        let neighbors = entries
+                            .iter()
+                            .map(|e| {
+                                Neighbor::new(
+                                    shard.first_id + e.id as u32,
+                                    host_dist(payload, e.value),
+                                )
+                            })
+                            .collect();
                         rows[qi].push((neighbors, stats));
                         continue;
                     }
@@ -734,6 +795,8 @@ impl SsamDevice {
                 rows[qi].push((neighbors, stats));
             }
         }
+
+        self.fast_words += fast_words;
 
         // Per-query host-side global top-k reduction + serial-equivalent
         // timing, then the batch-level pipelined account.
@@ -1722,5 +1785,59 @@ mod tests {
         assert_eq!(batch.timing.pus_per_vault, serial.timing.pus_per_vault);
         assert_eq!(batch.timing.compute_bound, serial.timing.compute_bound);
         assert!((batch.timing.seconds - serial.timing.seconds).abs() < 1e-12);
+    }
+
+    /// The work early abandoning saves, counted in words read rather than
+    /// timed, so the bound holds on any host. The served shape (1,200 ×
+    /// 100-d GloVe stand-in, k = 6, 256 Euclidean queries in batches of
+    /// 16) reads at most half the words a full scan would; the same
+    /// batches over full-range words fail the no-wrap proof and read
+    /// every word.
+    #[test]
+    fn early_abandoning_reads_under_half_the_words_on_the_served_shape() {
+        const N: usize = 1_200;
+        const QUERIES: usize = 256;
+        let mut spec = ssam_datasets::PaperDataset::GloVe.scaled_spec(N as f64 / 1.2e6);
+        spec.train = N;
+        spec.queries = QUERIES;
+        let data = ssam_datasets::generator::generate(&spec);
+        assert_eq!(data.train.dims(), 100);
+        let words_read = |train: &VectorStore, queries: &VectorStore| {
+            let mut dev = SsamDevice::new(SsamConfig {
+                fast_path: true,
+                ..SsamConfig::default()
+            });
+            dev.load_vectors(train);
+            for ids in (0..QUERIES as u32).collect::<Vec<_>>().chunks(16) {
+                let batch: Vec<DeviceQuery<'_>> = ids
+                    .iter()
+                    .map(|&i| DeviceQuery::Euclidean(queries.get(i)))
+                    .collect();
+                dev.query_batch(&batch, 6).expect("fast batch");
+            }
+            dev.fast_words()
+        };
+        let full = (QUERIES * N * 100) as u64;
+        let read = words_read(&data.train, &data.queries);
+        assert!(
+            2 * read <= full,
+            "read {read} of {full} words ({:.3})",
+            read as f64 / full as f64
+        );
+
+        const ALPHABET: [f32; 5] = [0.0, 1.0, -1.0, 32_768.0, -40_000.0];
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut extreme = |n: usize| {
+            let mut s = VectorStore::with_capacity(100, n);
+            for _ in 0..n {
+                let v: Vec<f32> = (0..100)
+                    .map(|_| ALPHABET[rng.random_range(0..ALPHABET.len())])
+                    .collect();
+                s.push(&v);
+            }
+            s
+        };
+        let (train, queries) = (extreme(N), extreme(QUERIES));
+        assert_eq!(words_read(&train, &queries), full);
     }
 }

@@ -1168,6 +1168,9 @@ fn store_error(e: StoreError) -> ServeError {
         StoreError::ShardUnavailable { shard } => ServeError::ShardUnavailable { shard },
         // Only `Store::open` returns it; a serving store never does.
         StoreError::CorruptWal { .. } => ServeError::BadRequest("corrupt WAL record"),
+        StoreError::SeqExhausted => {
+            ServeError::BadRequest("store sequence numbers exhausted, write refused")
+        }
     }
 }
 

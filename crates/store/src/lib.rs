@@ -133,7 +133,17 @@ pub enum StoreError {
         /// 0-based index of the offending record in the replayed prefix.
         record: usize,
     },
+    /// The write would take a sequence number the WAL cannot recover: a
+    /// data record above `u64::MAX − 2`. Refused before anything is
+    /// appended, so every acknowledged write reopens.
+    SeqExhausted,
 }
+
+/// The largest sequence number a data record may take. A record at
+/// `u64::MAX` has no successor and `open` rejects it, and an insert can
+/// trip a seal that takes the next seq, so inserts and deletes stop two
+/// short of it; seals and compactions stop at `u64::MAX − 1`.
+pub(crate) const MAX_WRITE_SEQ: u64 = u64::MAX - 2;
 
 impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -155,6 +165,7 @@ impl std::fmt::Display for StoreError {
                     "WAL record {record} could not have been written by this store"
                 )
             }
+            StoreError::SeqExhausted => write!(f, "sequence numbers exhausted, write refused"),
         }
     }
 }
@@ -787,7 +798,9 @@ impl Store {
     /// automatic seal when the memtable reaches capacity.
     ///
     /// # Errors
-    /// [`StoreError::DimsMismatch`] when the vector length is wrong.
+    /// [`StoreError::DimsMismatch`] when the vector length is wrong, and
+    /// [`StoreError::SeqExhausted`] once the next seq passes
+    /// `u64::MAX − 2`.
     pub fn insert(&mut self, uid: u32, vector: &[f32]) -> Result<WriteAck, StoreError> {
         let seq = self.next_seq;
         self.insert_at_seq(uid, seq, vector)
@@ -801,7 +814,9 @@ impl Store {
     /// not regress visibility.
     ///
     /// # Errors
-    /// [`StoreError::DimsMismatch`] when the vector length is wrong.
+    /// [`StoreError::DimsMismatch`] when the vector length is wrong, and
+    /// [`StoreError::SeqExhausted`] for a seq above `u64::MAX − 2`;
+    /// either way nothing is appended.
     pub fn insert_at_seq(
         &mut self,
         uid: u32,
@@ -813,6 +828,9 @@ impl Store {
                 expected: self.config.dims,
                 got: vector.len(),
             });
+        }
+        if seq > MAX_WRITE_SEQ {
+            return Err(StoreError::SeqExhausted);
         }
         self.next_seq = self.next_seq.max(seq + 1);
         self.wal.append(&WalRecord::Insert {
@@ -839,6 +857,10 @@ impl Store {
 
     /// Deletes `uid`. Blind deletes are accepted: a tombstone for a
     /// never-seen uid is recorded and purged at the next compaction.
+    ///
+    /// # Errors
+    /// [`StoreError::SeqExhausted`] once the next seq passes
+    /// `u64::MAX − 2`.
     pub fn delete(&mut self, uid: u32) -> Result<WriteAck, StoreError> {
         let seq = self.next_seq;
         self.delete_at_seq(uid, seq)
@@ -846,7 +868,14 @@ impl Store {
 
     /// Deletes `uid` at a caller-assigned sequence number (see
     /// [`Store::insert_at_seq`]).
+    ///
+    /// # Errors
+    /// [`StoreError::SeqExhausted`] for a seq above `u64::MAX − 2`, with
+    /// nothing appended.
     pub fn delete_at_seq(&mut self, uid: u32, seq: u64) -> Result<WriteAck, StoreError> {
+        if seq > MAX_WRITE_SEQ {
+            return Err(StoreError::SeqExhausted);
+        }
         self.next_seq = self.next_seq.max(seq + 1);
         self.wal.append(&WalRecord::Delete { uid, seq });
         if self.config.sync == WalSync::EveryRecord {
@@ -862,9 +891,10 @@ impl Store {
 
     /// Seals the memtable into a new level-0 segment. Returns `false`
     /// — and appends no WAL record — when the memtable is empty, so
-    /// the op↔record correspondence stays exact for replay.
+    /// the op↔record correspondence stays exact for replay, or when the
+    /// next seq is `u64::MAX`, which no record may take.
     pub fn seal(&mut self) -> bool {
-        if self.memtable.is_empty() {
+        if self.memtable.is_empty() || self.next_seq == u64::MAX {
             return false;
         }
         let seq = self.next_seq;
@@ -883,8 +913,11 @@ impl Store {
 
     /// Runs one compaction: merges the lowest over-fanout level into
     /// the next. Returns `false` — appending no WAL record — when no
-    /// level owes work.
+    /// level owes work or the next seq is `u64::MAX`.
     pub fn compact_step(&mut self) -> bool {
+        if self.next_seq == u64::MAX {
+            return false;
+        }
         let Some(level) = self
             .levels
             .iter()

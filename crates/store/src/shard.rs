@@ -51,7 +51,7 @@ use ssam_knn::topk::TopK;
 
 use crate::{
     decode_stream, linear_batch, linear_query, Recovery, Snapshot, Store, StoreConfig, StoreError,
-    StoreQueryResult, StoreStats, WalRecord, WriteAck,
+    StoreQueryResult, StoreStats, WalRecord, WriteAck, MAX_WRITE_SEQ,
 };
 
 /// Outage-sampling scope for the sharded write path (distinct from the
@@ -603,7 +603,8 @@ impl ShardedStore {
     /// # Errors
     /// [`StoreError::DimsMismatch`] on a wrong-length vector,
     /// [`StoreError::ShardUnavailable`] when the whole replica set is
-    /// down.
+    /// down, [`StoreError::SeqExhausted`] once the next global seq passes
+    /// `u64::MAX − 2` (no seq is consumed either way).
     pub fn insert(&mut self, uid: u32, vector: &[f32]) -> Result<ShardWriteAck, StoreError> {
         if vector.len() != self.config.store.dims {
             return Err(StoreError::DimsMismatch {
@@ -617,16 +618,18 @@ impl ShardedStore {
     /// Deletes `uid` (blind deletes accepted, as in [`Store::delete`]).
     ///
     /// # Errors
-    /// [`StoreError::ShardUnavailable`] when the whole replica set is
-    /// down.
+    /// As [`ShardedStore::insert`], less the dims check.
     pub fn delete(&mut self, uid: u32) -> Result<ShardWriteAck, StoreError> {
         self.write(uid, None)
     }
 
     fn write(&mut self, uid: u32, vector: Option<Vec<f32>>) -> Result<ShardWriteAck, StoreError> {
+        let seq = self.next_seq;
+        if seq > MAX_WRITE_SEQ {
+            return Err(StoreError::SeqExhausted);
+        }
         let shard = self.shard_of(uid);
         let replicas = self.config.replicas;
-        let seq = self.next_seq;
         let mut outages = 0u64;
         let mut backoff = 0.0f64;
         let up: Vec<bool> = (0..replicas)

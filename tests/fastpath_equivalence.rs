@@ -424,3 +424,151 @@ fn counter_memo_lives_as_long_as_the_loaded_dataset() {
         }
     }
 }
+
+/// The alphabet of `full_range_words_are_bit_identical`: as Q16.16
+/// words, 0, ±65,536, `i32::MAX` and `i32::MIN`.
+const FULL_RANGE: [f32; 7] = [0.0, 1.0, -1.0, 32_768.0, -32_768.0, 40_000.0, -40_000.0];
+
+/// Full-range words at the served width: 256 rows of 100 words, so every
+/// candidate spans several 16-word abandon checks. The kernels' sums
+/// wrap here, so the no-wrap proof must fail and every cell must take
+/// the full loop; a bounded scan over these words abandons on wrapped
+/// partial sums.
+#[test]
+fn full_range_words_at_serving_width() {
+    const WIDE: usize = 100;
+    let mut x = 0x51de_u64;
+    let mut row = || -> Vec<f32> {
+        (0..WIDE)
+            .map(|_| FULL_RANGE[(lcg(&mut x) >> 33) as usize % FULL_RANGE.len()])
+            .collect()
+    };
+    let mut store = VectorStore::with_capacity(WIDE, 256);
+    for _ in 0..256 {
+        store.push(&row());
+    }
+    let qs: Vec<Vec<f32>> = (0..6).map(|_| row()).collect();
+    let queries: Vec<DeviceQuery<'_>> = qs
+        .iter()
+        .enumerate()
+        .map(|(i, q)| {
+            if i % 2 == 0 {
+                DeviceQuery::Euclidean(q)
+            } else {
+                DeviceQuery::Manhattan(q)
+            }
+        })
+        .collect();
+    for k in [1, 6, 17] {
+        assert_fastpath_equivalent(
+            SsamConfig::default(),
+            |dev| dev.load_vectors(&store),
+            None,
+            &queries,
+            k,
+        );
+    }
+}
+
+/// The cross-vault bound is exact to the unit: 64 rows of 4 dims, so 32
+/// vaults of 2. Rows 0, 1 and 3 sit at raw Euclidean distance 100 from
+/// the zero query, row 2 at 99, and the rest far away. With k = 2, vault
+/// 0 sets the bound to 100, so vault 1 must keep row 2 (99) and may drop
+/// row 3 (100): the answer is `[2, 0]`.
+#[test]
+fn bound_one_below_a_later_vault() {
+    let mut store = VectorStore::with_capacity(4, 64);
+    for i in 0..64 {
+        let first = match i {
+            0 | 1 | 3 => 2560.0 / 65536.0,
+            2 => 2548.0 / 65536.0,
+            _ => 1.0,
+        };
+        store.push(&[first, 0.0, 0.0, 0.0]);
+    }
+    let q = [0.0f32; 4];
+    let queries = [DeviceQuery::Euclidean(&q)];
+    assert_fastpath_equivalent(
+        SsamConfig::default(),
+        |dev| dev.load_vectors(&store),
+        None,
+        &queries,
+        2,
+    );
+    let mut fast = SsamDevice::new(SsamConfig {
+        fast_path: true,
+        ..SsamConfig::default()
+    });
+    fast.load_vectors(&store);
+    let got = fast.query_batch(&queries, 2).expect("fast batch");
+    let ids: Vec<u32> = got.results[0].neighbors.iter().map(|n| n.id).collect();
+    assert_eq!(ids, [2, 0]);
+}
+
+/// The served shape: the 1,200 × 100-d GloVe stand-in perfbench serves,
+/// 8 Euclidean and 8 Manhattan queries from the same mixture, k = 6
+/// (GloVe's) and 40 (three chained queues), with no fault plan and under
+/// the CI chaos plan, whose outage and ECC-lost cells must not tighten
+/// any query's cross-vault bound.
+#[test]
+fn served_shape_is_bit_identical() {
+    let mut spec = ssam::datasets::PaperDataset::GloVe.scaled_spec(1_200.0 / 1.2e6);
+    spec.train = 1_200;
+    spec.queries = 16;
+    let data = ssam::datasets::generator::generate(&spec);
+    let queries: Vec<DeviceQuery<'_>> = (0..16u32)
+        .map(|i| {
+            let q = data.queries.get(i);
+            if i % 2 == 0 {
+                DeviceQuery::Euclidean(q)
+            } else {
+                DeviceQuery::Manhattan(q)
+            }
+        })
+        .collect();
+    for plan in [None, Some(Arc::new(FaultPlan::chaos(11)))] {
+        for k in [6, 40] {
+            assert_fastpath_equivalent(
+                SsamConfig::default(),
+                |dev| dev.load_vectors(&data.train),
+                plan.clone(),
+                &queries,
+                k,
+            );
+        }
+    }
+}
+
+/// Hamming at serving width: 1,200 codes of 32 words in 24 clusters
+/// (each code flips about one bit in 16 of its cluster's base code), so
+/// a far candidate's first 16 words already exceed the bound and near
+/// ones run to the end. Queries are noisy base codes; k = 6 and 40.
+#[test]
+fn clustered_codes_at_serving_width_are_bit_identical() {
+    const WORDS: usize = 32;
+    let bases = binary_store_of(31, 24, WORDS);
+    let mut x = 0xc0de_u64;
+    let mut noisy = |base: &[u32]| -> Vec<u32> {
+        base.iter()
+            .map(|&w| {
+                let flips = (0..4).fold(!0u64, |m, _| m & (lcg(&mut x) >> 32)) as u32;
+                w ^ flips
+            })
+            .collect()
+    };
+    let mut codes = BinaryStore::new(WORDS * 32);
+    for i in 0..1_200u32 {
+        codes.push(&noisy(bases.get(i % 24)));
+    }
+    let probes: Vec<Vec<u32>> = (0..8u32).map(|i| noisy(bases.get(i * 5 % 24))).collect();
+    let queries: Vec<DeviceQuery<'_>> = probes.iter().map(|c| DeviceQuery::Hamming(c)).collect();
+    for k in [6, 40] {
+        assert_fastpath_equivalent(
+            SsamConfig::default(),
+            |dev| dev.load_binary(&codes),
+            None,
+            &queries,
+            k,
+        );
+    }
+}

@@ -301,3 +301,228 @@ fn records_the_store_could_not_have_written_are_corrupt_wal() {
         );
     }
 }
+
+/// A WAL image of `records`, each framed by the store's own encoder.
+fn image_of(records: &[WalRecord]) -> Vec<u8> {
+    let mut wal = Wal::new();
+    for r in records {
+        wal.append(r);
+    }
+    wal.bytes().to_vec()
+}
+
+fn insert_at(uid: u32, seq: u64) -> WalRecord {
+    WalRecord::Insert {
+        uid,
+        seq,
+        vector: vec![uid as f32 / 8.0; DIMS],
+    }
+}
+
+/// At the end of the sequence space a store acknowledges only writes its
+/// WAL can replay. From an image whose last record is at `u64::MAX − 3`,
+/// one insert is acked at `u64::MAX − 2`; the next insert and a delete
+/// are `SeqExhausted` with nothing appended; the store's own WAL reopens
+/// with the same live set. In the variant the acked insert fills the
+/// memtable and seals at `u64::MAX − 1`. An image already ending at
+/// `u64::MAX − 1` neither seals nor compacts. A 2 × 1 sharded store
+/// refuses before it consumes a global seq.
+#[test]
+fn exhausted_sequence_numbers_refuse_writes_the_wal_could_not_recover() {
+    let top = u64::MAX - 3;
+    // Memtable capacity 4: one resident entry, or three (so the acked
+    // insert seals).
+    for (preload, seals) in [(1u64, false), (3, true)] {
+        let records: Vec<WalRecord> = (0..preload)
+            .map(|i| insert_at(i as u32, top - (preload - 1 - i)))
+            .collect();
+        let (mut store, _) = Store::open(config(), &image_of(&records)).expect("opens");
+        let ack = store.insert(10, &[0.5; DIMS]).expect("last insert");
+        assert_eq!((ack.seq, ack.sealed), (u64::MAX - 2, seals));
+        let wal = store.wal_bytes().to_vec();
+        assert_eq!(
+            store.insert(11, &[0.25; DIMS]).err(),
+            Some(StoreError::SeqExhausted)
+        );
+        assert_eq!(store.delete(0).err(), Some(StoreError::SeqExhausted));
+        assert_eq!(store.wal_bytes(), wal.as_slice(), "a refusal appended");
+        let (reopened, rec) = Store::open(config(), &wal).expect("own WAL reopens");
+        assert_eq!(rec.truncated, 0);
+        assert_eq!(live_bits(&reopened), live_bits(&store));
+        assert_eq!(reopened.snapshot(), store.snapshot());
+    }
+
+    // Three level-0 segments over fanout 2 and a resident entry, the last
+    // record at `u64::MAX − 1`: the seal and the compaction it owes would
+    // take `u64::MAX`, so neither runs.
+    let records: Vec<WalRecord> = (0..7u64)
+        .map(|i| {
+            let seq = u64::MAX - 7 + i;
+            if i % 2 == 0 {
+                insert_at(i as u32, seq)
+            } else {
+                WalRecord::Seal { seq }
+            }
+        })
+        .collect();
+    let (mut store, _) = Store::open(config(), &image_of(&records)).expect("opens");
+    assert!(store.compaction_needed());
+    assert_eq!((store.next_seq(), store.live_len()), (u64::MAX, 4));
+    let wal = store.wal_bytes().to_vec();
+    assert!(!store.seal());
+    assert!(!store.compact_step());
+    assert_eq!(store.wal_bytes(), wal.as_slice());
+    Store::open(config(), &wal).expect("reopens");
+
+    let sharded_config = || ShardedStoreConfig::new(2, 1, config());
+    let images = [
+        image_of(&[insert_at(0, top - 1)]),
+        image_of(&[insert_at(1, top)]),
+    ];
+    let (mut sharded, _) = ShardedStore::open(sharded_config(), &images).expect("opens");
+    let ack = sharded.insert(2, &[0.5; DIMS]).expect("last insert");
+    assert_eq!(ack.seq, u64::MAX - 2);
+    let before = sharded.wal_images();
+    assert_eq!(
+        sharded.insert(3, &[0.25; DIMS]).err(),
+        Some(StoreError::SeqExhausted)
+    );
+    assert_eq!(sharded.delete(0).err(), Some(StoreError::SeqExhausted));
+    assert_eq!(sharded.wal_images(), before);
+    let (reopened, _) = ShardedStore::open(sharded_config(), &before).expect("reopens");
+    assert_eq!(reopened.live_set(), sharded.live_set());
+}
+
+/// The real 20-record image the hostile-bytes property mutates: inserts,
+/// an update, deletes, seals and a compaction.
+fn twenty_record_image() -> Vec<u8> {
+    let mut store = Store::create(config());
+    for i in 0..14u32 {
+        store
+            .insert(i % 9, &[i as f32 * 0.125 - 0.5; DIMS])
+            .expect("insert");
+        if i % 5 == 4 {
+            store.delete(i % 7).expect("delete");
+        }
+    }
+    store.compact_step();
+    assert_eq!(store.stats().wal_records, 20);
+    store.wal_bytes().to_vec()
+}
+
+/// One CRC-valid frame around `payload`.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut f = (payload.len() as u32).to_le_bytes().to_vec();
+    f.extend_from_slice(&ssam::hmc::packet::crc32(payload).to_le_bytes());
+    f.extend_from_slice(payload);
+    f
+}
+
+/// A payload for one of the four tags (or none), with arbitrary fields,
+/// so the payload decoder — not the CRC — decides. A `Compact` level is
+/// kept at or below 64: a regressed replay would build that many levels.
+fn payload(kind: u8, uid: u32, seq: u64, dims: u32, words: &[u32], junk: &[u8]) -> Vec<u8> {
+    let mut p = Vec::new();
+    match kind {
+        0 => {
+            p.push(b'I');
+            p.extend_from_slice(&uid.to_le_bytes());
+            p.extend_from_slice(&seq.to_le_bytes());
+            p.extend_from_slice(&dims.to_le_bytes());
+            for w in words {
+                p.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+        1 => {
+            p.push(b'D');
+            p.extend_from_slice(&uid.to_le_bytes());
+            p.extend_from_slice(&seq.to_le_bytes());
+        }
+        2 => {
+            p.push(b'S');
+            p.extend_from_slice(&seq.to_le_bytes());
+        }
+        3 => {
+            p.push(b'C');
+            p.extend_from_slice(&(uid % 65).to_le_bytes());
+            p.extend_from_slice(&seq.to_le_bytes());
+        }
+        _ => {}
+    }
+    p.extend_from_slice(junk);
+    p
+}
+
+/// What every image must satisfy: the decoder never panics, its good
+/// prefix fits the input and re-encodes byte for byte, and `Store::open`
+/// returns `Ok` or a typed error.
+fn check_hostile_image(bytes: &[u8]) {
+    let (records, prefix) = ssam::store::decode_stream(bytes);
+    assert!(prefix <= bytes.len());
+    let encoded: Vec<u8> = records.iter().flat_map(WalRecord::encode).collect();
+    assert_eq!(encoded.as_slice(), &bytes[..prefix]);
+    if let Ok((store, rec)) = Store::open(config(), bytes) {
+        assert_eq!(rec.replayed, records.len());
+        assert_eq!(store.wal_bytes(), &bytes[..prefix]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hostile WAL bytes of three kinds: arbitrary bytes; CRC-valid
+    /// frames around arbitrary payloads; and byte flips, truncations and
+    /// splices of a real 20-record image.
+    #[test]
+    fn wal_decoder_and_open_survive_hostile_bytes(
+        raw in prop::collection::vec(0u8..=255, 0..96),
+        frames in prop::collection::vec(
+            (
+                (
+                    0u8..5,
+                    any::<u32>(),
+                    prop_oneof![0u64..48, 0u64..48, Just(u64::MAX), any::<u64>()],
+                ),
+                (prop_oneof![Just(DIMS as u32), 0u32..7], prop::collection::vec(any::<u32>(), 0..7)),
+                (prop::collection::vec(0u8..=255, 1..4), 0u8..4),
+            ),
+            0..8,
+        ),
+        edits in prop::collection::vec((any::<u64>(), 0u8..8), 0..4),
+        cut in any::<u64>(),
+        splice in (any::<u64>(), any::<u64>(), any::<u64>()),
+    ) {
+        check_hostile_image(&raw);
+
+        let mut framed = Vec::new();
+        for ((kind, uid, seq), (dims, words), (junk, tail)) in &frames {
+            // An untagged payload is junk alone; one tagged frame in four
+            // carries trailing junk. An insert without it carries `dims`
+            // words, so the decoder accepts it and `open` replays it (or
+            // finds its dims wrong).
+            let junk: &[u8] = if *kind > 3 || *tail == 0 { junk } else { &[] };
+            let words: Vec<u32> = if *kind == 0 && junk.is_empty() {
+                (0..*dims).map(|i| words.get(i as usize).copied().unwrap_or(i)).collect()
+            } else {
+                words.clone()
+            };
+            framed.extend(frame(&payload(*kind, *uid, *seq, *dims, &words, junk)));
+        }
+        check_hostile_image(&framed);
+
+        let real = twenty_record_image();
+        let n = real.len() as u64;
+        let mut flipped = real.clone();
+        for (at, bit) in &edits {
+            flipped[(at % n) as usize] ^= 1 << bit;
+        }
+        check_hostile_image(&flipped);
+        check_hostile_image(&real[..(cut % (n + 1)) as usize]);
+        let (a, b, at) = (splice.0 % n, splice.1 % n, splice.2 % (n + 1));
+        let (lo, hi) = (a.min(b) as usize, a.max(b) as usize);
+        let mut spliced = real[..at as usize].to_vec();
+        spliced.extend_from_slice(&real[lo..hi]);
+        spliced.extend_from_slice(&real[at as usize..]);
+        check_hostile_image(&spliced);
+    }
+}
