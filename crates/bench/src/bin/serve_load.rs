@@ -34,6 +34,13 @@
 //! per-tenant p50/p95/p99, goodput, and a Jain fairness index over the
 //! fraction of each tenant's demand that was served.
 //!
+//! With `--mutate insert=F,delete=F` the read sweeps give way to one
+//! open-loop read/write stream against a mutable [`ssam_store::Store`]
+//! (or, with `--shards`/`--replicas`, a [`ssam_store::ShardedStore`]
+//! with a mid-run failover drill); both harnesses share the measurement
+//! core below: one percentile, one ticket drain, one Poisson gap draw,
+//! one `ServeConfig`, and one end-of-run audit.
+//!
 //! Every served query flows through the device's self-checking telemetry
 //! ([`ssam_core::telemetry`]); the run **fails** if any accounting
 //! violation is retained, so the load test doubles as an end-to-end
@@ -51,14 +58,16 @@
 //! ```text
 //! serve_load [--seconds N] [--concurrency 1,4,16,64] [--workers N]
 //!            [--max-batch N] [--linger-us N] [--scale F] [--k N]
-//!            [--rate QPS] [--timeout-ms N] [--tenants SPEC]
+//!            [--rate QPS] [--timeout-ms N] [--tenants SPEC] [--min-jain F]
+//!            [--mutate SPEC] [--memtable N] [--shards N] [--replicas R]
 //!            [--faults SPEC] [--json PATH] [--telemetry PATH] [--csv]
+//!            [--no-opt] [--fast-path]
 //! ```
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -73,7 +82,7 @@ use ssam_knn::VectorStore;
 use ssam_serve::qos::jain_index;
 use ssam_serve::{
     OwnedQuery, QosConfig, Request, ServeConfig, ServeError, ServeFaults, Server, TenantId,
-    TenantQos,
+    TenantQos, Ticket,
 };
 
 struct Args {
@@ -100,7 +109,7 @@ struct Args {
     fast_path: bool,
 }
 
-fn parse_args() -> Args {
+fn parse_args(argv: &[String]) -> Args {
     let mut a = Args {
         seconds: 5.0,
         concurrency: vec![1, 4, 16, 64],
@@ -124,7 +133,6 @@ fn parse_args() -> Args {
         no_opt: false,
         fast_path: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     let take = |i: &mut usize, what: &str| -> String {
         *i += 1;
@@ -179,8 +187,10 @@ fn parse_args() -> Args {
                     "usage: serve_load [--seconds N] [--concurrency 1,4,16,64] [--workers N]\n\
                      \x20                 [--max-batch N] [--linger-us N] [--scale F] [--k N]\n\
                      \x20                 [--rate QPS] [--timeout-ms N] [--tenants SPEC]\n\
-                     \x20                 [--min-jain F] [--faults SPEC] [--json PATH]\n\
-                     \x20                 [--telemetry PATH] [--csv] [--no-opt] [--fast-path]\n\
+                     \x20                 [--min-jain F] [--mutate SPEC] [--memtable N]\n\
+                     \x20                 [--shards N] [--replicas R] [--faults SPEC]\n\
+                     \x20                 [--json PATH] [--telemetry PATH] [--csv] [--no-opt]\n\
+                     \x20                 [--fast-path]\n\
                      \x20  --no-opt stages raw (unoptimized) kernel programs for A/B runs\n\
                      \x20  --fast-path uses the validated analytic executor (bit-identical\n\
                      \x20  results, no per-instruction simulation) for A/B runs\n\
@@ -209,7 +219,65 @@ fn parse_args() -> Args {
         i += 1;
     }
     assert!(a.seconds > 0.0, "--seconds must be positive");
+    // A sweep point with zero clients would measure nothing.
+    assert!(
+        a.concurrency.iter().all(|&c| c > 0),
+        "--concurrency entries must be positive"
+    );
     a
+}
+
+impl Args {
+    /// The device configuration every harness serves from.
+    fn device_config(&self) -> SsamConfig {
+        SsamConfig {
+            vector_length: 4,
+            optimize_kernels: !self.no_opt,
+            fast_path: self.fast_path,
+            ..SsamConfig::default()
+        }
+    }
+
+    fn executor(&self) -> &'static str {
+        if self.fast_path {
+            "analytic fast path"
+        } else {
+            "cycle simulator"
+        }
+    }
+
+    /// The `ServeConfig` every server of the run starts from, carrying
+    /// the run's one parse of `--faults` (announced when given).
+    fn serve_config(&self) -> ServeConfig {
+        let plan = self.faults.as_deref().map(|spec| {
+            Arc::new(FaultPlan::parse(spec).unwrap_or_else(|e| panic!("bad --faults spec: {e}")))
+        });
+        if let Some(plan) = &plan {
+            println!(
+                "fault injection: seed={} bit_flip={} crc={} vault_out={} straggle={} module_out={}",
+                plan.seed,
+                plan.bit_flip_rate,
+                plan.crc_corruption_rate,
+                plan.vault_outage_rate,
+                plan.straggler_rate,
+                plan.module_outage_rate
+            );
+        }
+        ServeConfig {
+            max_batch: self.max_batch,
+            max_linger: self.linger,
+            workers: self.workers,
+            faults: ServeFaults {
+                plan,
+                // The load generator accepts partial answers and reports
+                // coverage honestly; the retry/degrade path is exercised by
+                // the runtime's own tests.
+                min_coverage: 0.0,
+                ..ServeFaults::default()
+            },
+            ..ServeConfig::default()
+        }
+    }
 }
 
 /// Process CPU seconds (all threads, user + system) from
@@ -241,7 +309,6 @@ fn process_cpu_seconds() -> Option<f64> {
 /// [`ssam_core::device::BatchTiming::seconds`], apportioned per query) —
 /// the paper-faithful device metric.
 struct Measured {
-    served: u64,
     elapsed: f64,
     cpu_seconds: Option<f64>,
     device_seconds: f64,
@@ -249,13 +316,17 @@ struct Measured {
 }
 
 impl Measured {
+    fn served(&self) -> u64 {
+        self.latencies_ms.len() as u64
+    }
+
     fn qps(&self) -> f64 {
-        self.served as f64 / self.elapsed
+        self.served() as f64 / self.elapsed
     }
 
     fn cpu_qps(&self) -> f64 {
         match self.cpu_seconds {
-            Some(s) if s > 0.0 => self.served as f64 / s,
+            Some(s) if s > 0.0 => self.served() as f64 / s,
             _ => f64::NAN,
         }
     }
@@ -264,48 +335,39 @@ impl Measured {
         if self.device_seconds == 0.0 {
             return f64::NAN;
         }
-        self.served as f64 / self.device_seconds
-    }
-
-    fn percentile(&self, q: f64) -> f64 {
-        if self.latencies_ms.is_empty() {
-            return f64::NAN;
-        }
-        let mut sorted = self.latencies_ms.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        sorted[percentile_rank(sorted.len(), q)]
+        self.served() as f64 / self.device_seconds
     }
 }
 
-/// Nearest-rank percentile index: the smallest rank whose cumulative
-/// share of the sample is ≥ `q`, i.e. `⌈q·len⌉ − 1` zero-based.
-///
-/// The previous `((len − 1) · q).round()` form *interpolated the index*
-/// and systematically understated the tail: with 100 samples it reported
-/// the 95th-smallest value as p95 (rank 95 covers only 95% of the mass
-/// when exactly the 95th order statistic is the first to reach it — but
-/// at e.g. len = 10, `round(9 · 0.95) = 9` vs `round(9 · 0.99) = 9`
-/// collapsed p95 and p99, and at len = 20 it reported the 19th value for
-/// p99 instead of the maximum). Nearest-rank is the standard
-/// conservative definition: p99 of 20 samples is the sample maximum.
-fn percentile_rank(len: usize, q: f64) -> usize {
-    debug_assert!(len > 0 && (0.0..=1.0).contains(&q));
-    ((q * len as f64).ceil() as usize).clamp(1, len) - 1
-}
-
-/// Tail percentile over completed *and* expired requests: each expired
-/// request contributes its deadline as a latency sample (it waited at
-/// least that long before the server gave up on it). Without this, an
-/// overloaded server that sheds more load reports a *better* p99 — the
-/// slowest requests are exactly the ones deleted from the sample.
-fn tail_percentile(completed_ms: &[f64], expired_at_ms: &[f64], q: f64) -> f64 {
-    let total = completed_ms.len() + expired_at_ms.len();
-    if total == 0 {
+/// Nearest-rank percentile of `samples`, NaN when there are none: the
+/// smallest sample whose cumulative share is ≥ `q`, i.e. the
+/// `⌈q·len⌉ − 1` zero-based order statistic of a sorted copy.
+/// Nearest-rank is the conservative definition: p99 of 20 samples is the
+/// sample maximum, and p95/p99 stay distinct at small counts (an
+/// interpolated `round((len − 1)·q)` index merges them at len = 10 and
+/// drops the worst observation at len = 20).
+fn percentile(samples: &[f64], q: f64) -> f64 {
+    debug_assert!((0.0..=1.0).contains(&q));
+    if samples.is_empty() {
         return f64::NAN;
     }
-    let mut all: Vec<f64> = completed_ms.iter().chain(expired_at_ms).copied().collect();
-    all.sort_by(|a, b| a.total_cmp(b));
-    all[percentile_rank(total, q)]
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1]
+}
+
+/// Every float the report writes. The serializer rejects non-finite
+/// values, so a NaN (an empty sample's percentile, a rate over zero
+/// seconds) reports 0.0; the count beside it disambiguates.
+fn json_f64(x: f64) -> Value {
+    json::number_f64(if x.is_finite() { x } else { 0.0 })
+}
+
+/// Locks a store handle taken from the server, recovering from poisoning
+/// as the server itself does: every store transition completes before
+/// its lock is released, so a panicked worker cannot leave it torn.
+fn lock<T>(store: &Mutex<T>) -> MutexGuard<'_, T> {
+    store.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Which stored query the `cursor`-th arrival issues. The cursor is
@@ -340,6 +402,48 @@ fn pace_until(target: Instant) {
             std::hint::spin_loop();
         }
     }
+}
+
+/// One exponential inter-arrival gap of a Poisson stream at `rate` q/s
+/// (capped at 1 s), drawn from that stream's seeded generator.
+fn poisson_gap(rng: &mut StdRng, rate: f64) -> Duration {
+    let u: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
+    Duration::from_secs_f64((-u.ln() / rate).min(1.0))
+}
+
+/// What a waiter thread saw of the tickets it resolved.
+#[derive(Default)]
+struct Drained {
+    latencies_ms: Vec<f64>,
+    device_seconds: f64,
+    expired: u64,
+    degraded: u64,
+}
+
+/// Resolves tickets in submission order until every sender is dropped,
+/// consuming each as it completes instead of accumulating them for the
+/// whole run (bounded memory at millions of arrivals). `on_served` is
+/// the caller's own step for each served ticket: its tag and latency.
+fn drain<T>(
+    tickets: mpsc::Receiver<(Ticket, T)>,
+    what: &str,
+    mut on_served: impl FnMut(T, f64),
+) -> Drained {
+    let mut d = Drained::default();
+    for (ticket, tag) in tickets {
+        match ticket.wait() {
+            Ok(r) => {
+                let ms = (r.queue_seconds + r.service_seconds) * 1e3;
+                d.device_seconds += device_share_seconds(&r);
+                on_served(tag, ms);
+                d.latencies_ms.push(ms);
+            }
+            Err(ServeError::DeadlineExceeded { .. }) => d.expired += 1,
+            Err(ServeError::Degraded { .. }) => d.degraded += 1,
+            Err(e) => panic!("{what} failed: {e}"),
+        }
+    }
+    d
 }
 
 /// One tenant of the open-loop harness, parsed from `--tenants`.
@@ -456,19 +560,16 @@ impl TenantResult {
         (self.goodput() / self.offered).min(1.0)
     }
 
-    /// Deadline values of expired requests, one sample each, for the
-    /// completed+expired tail.
-    fn expired_at_ms(&self) -> Vec<f64> {
+    /// The completed+expired tail's samples: every completed latency,
+    /// plus each expired request at its deadline (it waited at least that
+    /// long before the server gave up on it). Without the expired ones,
+    /// an overloaded server that sheds more load reports a *better* p99 —
+    /// the slowest requests are exactly the ones deleted from the sample.
+    fn with_expired_ms(&self) -> Vec<f64> {
         let at = self.timeout_ms.unwrap_or(f64::NAN);
-        vec![at; self.expired as usize]
-    }
-
-    fn percentile(&self, q: f64) -> f64 {
-        tail_percentile(&self.latencies_ms, &[], q)
-    }
-
-    fn percentile_with_expired(&self, q: f64) -> f64 {
-        tail_percentile(&self.latencies_ms, &self.expired_at_ms(), q)
+        let mut all = self.latencies_ms.clone();
+        all.resize(all.len() + self.expired as usize, at);
+        all
     }
 }
 
@@ -481,13 +582,33 @@ struct OpenOutcome {
     measured: Measured,
 }
 
+impl OpenOutcome {
+    /// One per-tenant counter summed over the tenants.
+    fn total(&self, count: impl Fn(&TenantResult) -> u64) -> u64 {
+        self.tenants.iter().map(count).sum()
+    }
+
+    /// Jain fairness over each tenant's demand met.
+    fn jain(&self) -> f64 {
+        let met: Vec<f64> = self.tenants.iter().map(TenantResult::demand_met).collect();
+        jain_index(&met)
+    }
+
+    /// Every tenant's completed+expired samples together.
+    fn with_expired_ms(&self) -> Vec<f64> {
+        self.tenants
+            .iter()
+            .flat_map(TenantResult::with_expired_ms)
+            .collect()
+    }
+}
+
 /// Multi-tenant open loop: per-tenant Poisson arrival streams merged on
-/// an absolute schedule, non-blocking submission, per-tenant waiter
-/// threads draining tickets as they complete (bounded memory at millions
-/// of arrivals). Fails the run if the achieved arrival rate diverges
-/// from the offered rate by more than 5% (only checked when the expected
-/// arrival count is large enough that Poisson noise sits well inside
-/// that band).
+/// an absolute schedule, non-blocking submission, one waiter thread per
+/// tenant draining its tickets as they complete. Fails the run if the
+/// achieved arrival rate diverges from the offered rate by more than 5%
+/// (only checked when the expected arrival count is large enough that
+/// Poisson noise sits well inside that band).
 fn open_loop(
     server: &Arc<Server>,
     queries: &Arc<VectorStore>,
@@ -498,31 +619,13 @@ fn open_loop(
     let handle = server.handle();
     let nq = queries.len() as u32;
 
-    // One waiter thread + ticket channel per tenant: tickets are
-    // consumed as they resolve instead of accumulating for the whole
-    // run.
     let mut senders = Vec::new();
     let mut waiters = Vec::new();
     for _ in specs {
-        let (tx, rx) = mpsc::channel::<ssam_serve::Ticket>();
+        let (tx, rx) = mpsc::channel();
         senders.push(tx);
         waiters.push(std::thread::spawn(move || {
-            let mut lat = Vec::new();
-            let mut dev = 0.0f64;
-            let mut expired = 0u64;
-            let mut degraded = 0u64;
-            for ticket in rx {
-                match ticket.wait() {
-                    Ok(r) => {
-                        lat.push((r.queue_seconds + r.service_seconds) * 1e3);
-                        dev += device_share_seconds(&r);
-                    }
-                    Err(ServeError::DeadlineExceeded { .. }) => expired += 1,
-                    Err(ServeError::Degraded { .. }) => degraded += 1,
-                    Err(e) => panic!("open-loop request failed: {e}"),
-                }
-            }
-            (lat, dev, expired, degraded)
+            drain(rx, "open-loop request", |(), _| {})
         }));
     }
 
@@ -537,12 +640,8 @@ fn open_loop(
         .map(|i| StdRng::seed_from_u64(0x5e7e ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
         .collect();
     let mut heap: BinaryHeap<Reverse<(Instant, usize)>> = BinaryHeap::new();
-    let draw = |rngs: &mut Vec<StdRng>, idx: usize, rate: f64| -> Duration {
-        let u: f64 = rngs[idx].random_range(f64::MIN_POSITIVE..1.0);
-        Duration::from_secs_f64((-u.ln() / rate).min(1.0))
-    };
     for (idx, spec) in specs.iter().enumerate() {
-        heap.push(Reverse((t0 + draw(&mut rngs, idx, spec.rate), idx)));
+        heap.push(Reverse((t0 + poisson_gap(&mut rngs[idx], spec.rate), idx)));
     }
     let mut arrivals = vec![0u64; specs.len()];
     let mut rejected_overload = vec![0u64; specs.len()];
@@ -561,13 +660,13 @@ fn open_loop(
             req = req.with_timeout(t);
         }
         match handle.submit(req) {
-            Ok(ticket) => senders[idx].send(ticket).expect("waiter alive"),
+            Ok(ticket) => senders[idx].send((ticket, ())).expect("waiter alive"),
             Err(ServeError::Overloaded { .. }) => rejected_overload[idx] += 1,
             Err(ServeError::RateLimited { .. }) => rejected_rate_limited[idx] += 1,
             Err(e) => panic!("open-loop submission failed: {e}"),
         }
         arrivals[idx] += 1;
-        heap.push(Reverse((at + draw(&mut rngs, idx, spec.rate), idx)));
+        heap.push(Reverse((at + poisson_gap(&mut rngs[idx], spec.rate), idx)));
     }
     let elapsed = t0.elapsed().as_secs_f64();
     drop(senders);
@@ -576,9 +675,9 @@ fn open_loop(
     let mut all_latencies = Vec::new();
     let mut device_seconds = 0.0f64;
     for (idx, waiter) in waiters.into_iter().enumerate() {
-        let (lat, dev, expired, degraded) = waiter.join().expect("waiter thread");
-        all_latencies.extend_from_slice(&lat);
-        device_seconds += dev;
+        let d = waiter.join().expect("waiter thread");
+        all_latencies.extend_from_slice(&d.latencies_ms);
+        device_seconds += d.device_seconds;
         let spec = &specs[idx];
         tenants.push(TenantResult {
             name: spec.name.clone(),
@@ -588,10 +687,10 @@ fn open_loop(
             arrivals: arrivals[idx],
             rejected_overload: rejected_overload[idx],
             rejected_rate_limited: rejected_rate_limited[idx],
-            expired,
-            degraded,
-            latencies_ms: lat,
-            device_seconds: dev,
+            expired: d.expired,
+            degraded: d.degraded,
+            latencies_ms: d.latencies_ms,
+            device_seconds: d.device_seconds,
             elapsed,
         });
     }
@@ -621,7 +720,6 @@ fn open_loop(
         offered_qps,
         achieved_qps,
         measured: Measured {
-            served: all_latencies.len() as u64,
             elapsed,
             cpu_seconds,
             device_seconds,
@@ -679,7 +777,6 @@ fn closed_loop(
     let elapsed = start.elapsed().as_secs_f64();
     let cpu_seconds = process_cpu_seconds().zip(cpu0).map(|(a, b)| a - b);
     Measured {
-        served: latencies_ms.len() as u64,
         elapsed,
         cpu_seconds,
         device_seconds,
@@ -729,61 +826,6 @@ fn parse_mutate_spec(s: &str) -> MutateSpec {
     m
 }
 
-fn lock_store(
-    store: &std::sync::Mutex<ssam_store::Store>,
-) -> std::sync::MutexGuard<'_, ssam_store::Store> {
-    store
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn lock_sharded(
-    store: &std::sync::Mutex<ssam_store::ShardedStore>,
-) -> std::sync::MutexGuard<'_, ssam_store::ShardedStore> {
-    store
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// The `--mutate` harness runs against either store backend; both expose
-/// the aggregate [`ssam_store::StoreStats`] the report is built from.
-#[derive(Clone)]
-enum MutBackend {
-    Single(Arc<std::sync::Mutex<ssam_store::Store>>),
-    Sharded(Arc<std::sync::Mutex<ssam_store::ShardedStore>>),
-}
-
-impl MutBackend {
-    fn of(server: &Server) -> MutBackend {
-        match server.sharded_store() {
-            Some(st) => MutBackend::Sharded(st),
-            None => MutBackend::Single(server.store().expect("store backend")),
-        }
-    }
-
-    fn stats(&self) -> ssam_store::StoreStats {
-        match self {
-            MutBackend::Single(s) => lock_store(s).stats(),
-            MutBackend::Sharded(s) => lock_sharded(s).stats(),
-        }
-    }
-
-    fn compactions(&self) -> u64 {
-        self.stats().compactions
-    }
-}
-
-fn percentile_of(samples: &[f64], q: f64) -> f64 {
-    tail_percentile(samples, &[], q)
-}
-
-/// JSON-safe percentile: the serializer rejects non-finite floats, so an
-/// empty sample set reports 0.0 (its count field disambiguates).
-fn percentile_json(samples: &[f64], q: f64) -> Value {
-    let p = percentile_of(samples, q);
-    json::number_f64(if p.is_finite() { p } else { 0.0 })
-}
-
 /// The `--mutate` harness: an open-loop Poisson stream where each
 /// arrival is an insert, a delete, or a read, against a mutable
 /// [`ssam_store::Store`] behind the serving runtime (so reads batch
@@ -809,12 +851,7 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
     let sink = Telemetry::new();
 
     let mut store_config = StoreConfig::new(dims);
-    store_config.device = SsamConfig {
-        vector_length: 4,
-        optimize_kernels: !args.no_opt,
-        fast_path: args.fast_path,
-        ..SsamConfig::default()
-    };
+    store_config.device = args.device_config();
     // Small enough that a few seconds of writes seal repeatedly, big
     // enough that the memtable amortizes device staging.
     store_config.memtable_capacity = args.memtable.unwrap_or((n / 8).max(64));
@@ -827,20 +864,8 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
     );
     let sharded = args.shards > 1 || args.replicas > 1;
 
-    let fault_plan = args.faults.as_deref().map(|fs| {
-        Arc::new(FaultPlan::parse(fs).unwrap_or_else(|e| panic!("bad --faults spec: {e}")))
-    });
-    let serve_config = ServeConfig {
-        max_batch: args.max_batch,
-        max_linger: args.linger,
-        workers: args.workers,
-        faults: ServeFaults {
-            plan: fault_plan.clone(),
-            min_coverage: 0.0,
-            ..ServeFaults::default()
-        },
-        ..ServeConfig::default()
-    };
+    let serve_config = args.serve_config();
+    let fault_plan = serve_config.faults.plan.clone();
     let server = if sharded {
         let mut store = ShardedStore::create(ShardedStoreConfig::new(
             args.shards,
@@ -869,8 +894,18 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
         Arc::new(Server::start_store(store, serve_config))
     };
     let handle = server.handle();
-    let backend = MutBackend::of(&server);
-    let base = backend.stats();
+    let single_store = server.store();
+    let sharded_store = server.sharded_store();
+    // Aggregate lifecycle counters of whichever store the server runs.
+    let store_stats = {
+        let (single, sharded) = (single_store.clone(), sharded_store.clone());
+        move || match (&single, &sharded) {
+            (_, Some(st)) => lock(st).stats(),
+            (Some(st), None) => lock(st).stats(),
+            (None, None) => unreachable!("a store server runs a store backend"),
+        }
+    };
+    let base = store_stats();
 
     let rate = args.rate.unwrap_or(500.0).max(1.0);
     println!(
@@ -882,11 +917,7 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
         spec.insert * 100.0,
         spec.delete * 100.0,
         (1.0 - spec.insert - spec.delete) * 100.0,
-        if args.fast_path {
-            "analytic fast path"
-        } else {
-            "cycle simulator"
-        },
+        args.executor(),
         if sharded {
             format!(
                 ", {} shards x {} replicas ({} modules)",
@@ -902,32 +933,19 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
     // Waiter thread: drains read tickets as they resolve, classifying
     // each read by whether the compaction counter moved while it was in
     // flight.
-    let (tx, rx) = mpsc::channel::<(ssam_serve::Ticket, u64)>();
-    let store_w = backend.clone();
-    let waiter = std::thread::spawn(move || {
-        let mut read_ms = Vec::new();
-        let mut during_ms = Vec::new();
-        let mut dev = 0.0f64;
-        let mut expired = 0u64;
-        let mut degraded = 0u64;
-        for (ticket, c0) in rx {
-            match ticket.wait() {
-                Ok(r) => {
-                    let ms = (r.queue_seconds + r.service_seconds) * 1e3;
-                    dev += device_share_seconds(&r);
-                    let c1 = store_w.compactions();
-                    if c1 != c0 {
-                        during_ms.push(ms);
-                    }
-                    read_ms.push(ms);
+    let (tx, rx) = mpsc::channel();
+    let waiter = {
+        let store_stats = store_stats.clone();
+        std::thread::spawn(move || {
+            let mut during_ms = Vec::new();
+            let reads = drain(rx, "mutate read", |c0, ms| {
+                if store_stats().compactions != c0 {
+                    during_ms.push(ms);
                 }
-                Err(ServeError::DeadlineExceeded { .. }) => expired += 1,
-                Err(ServeError::Degraded { .. }) => degraded += 1,
-                Err(e) => panic!("mutate read failed: {e}"),
-            }
-        }
-        (read_ms, during_ms, dev, expired, degraded)
-    });
+            });
+            (reads, during_ms)
+        })
+    };
 
     // One merged Poisson stream; each arrival draws its op kind. Writes
     // churn uids over [0, 2n) so the live set both grows (fresh uids)
@@ -957,8 +975,7 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
     let mut acked_failed_over = 0u64;
     let mut refused = 0u64;
     loop {
-        let u: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
-        next += Duration::from_secs_f64((-u.ln() / rate).min(1.0));
+        next += poisson_gap(&mut rng, rate);
         if next >= deadline {
             break;
         }
@@ -966,8 +983,8 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
         if drill {
             let now = Instant::now();
             if !killed && now >= kill_at {
-                if let MutBackend::Sharded(st) = &backend {
-                    lock_sharded(st).kill_module(drill_module);
+                if let Some(st) = &sharded_store {
+                    lock(st).kill_module(drill_module);
                 }
                 killed = true;
                 println!(
@@ -977,8 +994,8 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
                 );
             }
             if killed && !revived && now >= revive_at {
-                if let MutBackend::Sharded(st) = &backend {
-                    lock_sharded(st).revive_module(drill_module);
+                if let Some(st) = &sharded_store {
+                    lock(st).revive_module(drill_module);
                 }
                 revived = true;
                 println!(
@@ -1016,7 +1033,7 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
         } else {
             let q = queries.get(query_index(cursor, nq)).to_vec();
             cursor += 1;
-            let c0 = backend.compactions();
+            let c0 = store_stats().compactions;
             let mut req = Request::new(OwnedQuery::Euclidean(q), k);
             if let Some(t) = args.timeout {
                 req = req.with_timeout(t);
@@ -1033,16 +1050,15 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
     }
     let elapsed = t0.elapsed().as_secs_f64();
     drop(tx);
-    let (read_ms, during_ms, device_seconds, expired, degraded) =
-        waiter.join().expect("waiter thread");
+    let (resolved, during_ms) = waiter.join().expect("waiter thread");
     let cpu_seconds = process_cpu_seconds().zip(cpu0).map(|(a, b)| a - b);
 
     // Sharded epilogue: revive anything still down, then drain every
     // fail-over queue with scratch writes (a write catches up all live
     // replicas of its shard before appending), so the write ledger can
     // close over pending_now == 0.
-    if let MutBackend::Sharded(st_arc) = &backend {
-        let mut st = lock_sharded(st_arc);
+    if let Some(st_arc) = &sharded_store {
+        let mut st = lock(st_arc);
         if killed && !revived {
             st.revive_module(drill_module);
         }
@@ -1074,9 +1090,9 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
         write_amp: f64,
         compaction_debt: u64,
     }
-    let (stats, summary, sharded_json, sharded_line) = match &backend {
-        MutBackend::Single(store) => {
-            let st = lock_store(store);
+    let (stats, summary, sharded_json, sharded_line) = match &sharded_store {
+        None => {
+            let st = lock(single_store.as_ref().expect("store backend"));
             st.record_account("serve_load_mutate");
             let a = st.account("serve_load_mutate");
             let summary = StoreSummary {
@@ -1088,8 +1104,8 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
             };
             (st.stats(), summary, None, None)
         }
-        MutBackend::Sharded(store) => {
-            let st = lock_sharded(store);
+        Some(store) => {
+            let st = lock(store);
             st.record_account("serve_load_mutate");
             let a = st.account("serve_load_mutate");
             st.check_write_ledger()
@@ -1156,10 +1172,7 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
                 "pending_peak".into(),
                 json::number_usize(ledger.pending_peak),
             );
-            o.insert(
-                "backoff_seconds".into(),
-                json::number_f64(ledger.backoff_seconds),
-            );
+            o.insert("backoff_seconds".into(), json_f64(ledger.backoff_seconds));
             o.insert("ledger_closed".into(), Value::Bool(true));
             o.insert(
                 "acked_failed_over".into(),
@@ -1207,6 +1220,7 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
             (st.stats(), summary, Some(Value::Object(o)), Some(line))
         }
     };
+    let read_ms = &resolved.latencies_ms;
     let write_ms: Vec<f64> = insert_ms.iter().chain(&delete_ms).copied().collect();
     let stall = stats.compact_seconds - base.compact_seconds;
     let seal_stall = stats.seal_seconds - base.seal_seconds;
@@ -1215,13 +1229,15 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
     println!(
         "\nmutate open loop: {arrivals} arrivals in {elapsed:.1}s -> {writes} writes \
          (p50 {:.3} ms, p99 {:.3} ms), {} reads served of {reads} submitted \
-         (p50 {:.2} ms, p99 {:.2} ms), {rejected} overloaded, {expired} expired, \
-         {degraded} degraded",
-        percentile_of(&write_ms, 0.50),
-        percentile_of(&write_ms, 0.99),
+         (p50 {:.2} ms, p99 {:.2} ms), {rejected} overloaded, {} expired, \
+         {} degraded",
+        percentile(&write_ms, 0.50),
+        percentile(&write_ms, 0.99),
         read_ms.len(),
-        percentile_of(&read_ms, 0.50),
-        percentile_of(&read_ms, 0.99),
+        percentile(read_ms, 0.50),
+        percentile(read_ms, 0.99),
+        resolved.expired,
+        resolved.degraded,
     );
     println!(
         "compaction: {} merges over the run, {stall:.3}s total stall \
@@ -1232,8 +1248,8 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
         stats.seals - base.seals,
         during_ms.len(),
         read_ms.len(),
-        percentile_of(&during_ms, 0.99),
-        percentile_of(&read_ms, 0.99),
+        percentile(&during_ms, 0.99),
+        percentile(read_ms, 0.99),
     );
     println!(
         "store: {} segments on {} levels, {} live / {} resident \
@@ -1251,33 +1267,13 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
     }
 
     let server_stats = Arc::into_inner(server).expect("sole owner").shutdown();
+    let mut root = BTreeMap::new();
+    audit(args, fault_plan.as_deref(), &sink, &mut root);
 
-    let violations = sink.violations();
-    assert!(
-        violations.is_empty(),
-        "mutate-path accounting violations: {violations:#?}"
-    );
-    let fault_totals = sink.fault_totals();
-    fault_totals
-        .check_closure()
-        .unwrap_or_else(|e| panic!("fault accounting does not close: {e}"));
-    println!("telemetry: {} verified records, 0 violations", sink.len());
-    if let Some(path) = &args.telemetry {
-        sink.write_jsonl(std::path::Path::new(path))
-            .unwrap_or_else(|e| panic!("cannot write telemetry JSONL to {path}: {e}"));
-    }
-
-    let m = Measured {
-        served: read_ms.len() as u64,
-        elapsed,
-        cpu_seconds,
-        device_seconds,
-        latencies_ms: read_ms.clone(),
-    };
     let mut mutate_o = BTreeMap::new();
-    mutate_o.insert("insert_fraction".into(), json::number_f64(spec.insert));
-    mutate_o.insert("delete_fraction".into(), json::number_f64(spec.delete));
-    mutate_o.insert("offered_qps".into(), json::number_f64(rate));
+    mutate_o.insert("insert_fraction".into(), json_f64(spec.insert));
+    mutate_o.insert("delete_fraction".into(), json_f64(spec.delete));
+    mutate_o.insert("offered_qps".into(), json_f64(rate));
     mutate_o.insert("arrivals".into(), json::number_u64(arrivals));
     mutate_o.insert("inserts".into(), json::number_u64(server_stats.inserts));
     mutate_o.insert("deletes".into(), json::number_u64(server_stats.deletes));
@@ -1301,40 +1297,46 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
         json::number_u64(server_stats.recovered_segments),
     );
     mutate_o.insert("startup_recovery".into(), Value::Object(recovery_o));
-    mutate_o.insert("expired".into(), json::number_u64(expired));
-    mutate_o.insert("degraded".into(), json::number_u64(degraded));
-    mutate_o.insert("write_p50_ms".into(), percentile_json(&write_ms, 0.50));
-    mutate_o.insert("write_p99_ms".into(), percentile_json(&write_ms, 0.99));
-    mutate_o.insert("insert_p99_ms".into(), percentile_json(&insert_ms, 0.99));
-    mutate_o.insert("delete_p99_ms".into(), percentile_json(&delete_ms, 0.99));
+    mutate_o.insert("expired".into(), json::number_u64(resolved.expired));
+    mutate_o.insert("degraded".into(), json::number_u64(resolved.degraded));
+    mutate_o.insert("write_p50_ms".into(), json_f64(percentile(&write_ms, 0.50)));
+    mutate_o.insert("write_p99_ms".into(), json_f64(percentile(&write_ms, 0.99)));
+    mutate_o.insert(
+        "insert_p99_ms".into(),
+        json_f64(percentile(&insert_ms, 0.99)),
+    );
+    mutate_o.insert(
+        "delete_p99_ms".into(),
+        json_f64(percentile(&delete_ms, 0.99)),
+    );
     mutate_o.insert(
         "reads_during_compaction".into(),
         json::number_usize(during_ms.len()),
     );
     mutate_o.insert(
         "read_during_compaction_p99_ms".into(),
-        percentile_json(&during_ms, 0.99),
+        json_f64(percentile(&during_ms, 0.99)),
     );
     let mut compaction_o = BTreeMap::new();
     compaction_o.insert(
         "compactions".into(),
         json::number_u64(stats.compactions - base.compactions),
     );
-    compaction_o.insert("stall_seconds".into(), json::number_f64(stall));
+    compaction_o.insert("stall_seconds".into(), json_f64(stall));
     compaction_o.insert(
         "max_stall_seconds".into(),
-        json::number_f64(stats.max_compact_seconds),
+        json_f64(stats.max_compact_seconds),
     );
     compaction_o.insert("seals".into(), json::number_u64(stats.seals - base.seals));
-    compaction_o.insert("seal_seconds".into(), json::number_f64(seal_stall));
+    compaction_o.insert("seal_seconds".into(), json_f64(seal_stall));
     mutate_o.insert("compaction".into(), Value::Object(compaction_o));
     let mut store_o = BTreeMap::new();
     store_o.insert("segments".into(), json::number_usize(stats.segments));
     store_o.insert("levels".into(), json::number_usize(stats.levels));
     store_o.insert("live".into(), json::number_usize(summary.live));
     store_o.insert("resident".into(), json::number_usize(summary.resident));
-    store_o.insert("dead_ratio".into(), json::number_f64(summary.dead_ratio));
-    store_o.insert("write_amp".into(), json::number_f64(summary.write_amp));
+    store_o.insert("dead_ratio".into(), json_f64(summary.dead_ratio));
+    store_o.insert("write_amp".into(), json_f64(summary.write_amp));
     store_o.insert(
         "compaction_debt".into(),
         json::number_u64(summary.compaction_debt),
@@ -1347,54 +1349,31 @@ fn run_mutate(args: &Args, spec: &MutateSpec) {
         mutate_o.insert("sharded".into(), sharded_v);
     }
 
-    let mut root = BTreeMap::new();
+    let m = Measured {
+        elapsed,
+        cpu_seconds,
+        device_seconds: resolved.device_seconds,
+        latencies_ms: resolved.latencies_ms,
+    };
     root.insert(
         "dataset".into(),
         Value::String(format!("GloVe scaled ({n} train / {nq} queries, {dims}-d)")),
     );
     root.insert("mode".into(), Value::String("mutate".into()));
-    root.insert("scale".into(), json::number_f64(args.scale));
+    root.insert("scale".into(), json_f64(args.scale));
     root.insert("shards".into(), json::number_usize(args.shards));
     root.insert("replicas".into(), json::number_usize(args.replicas));
     root.insert("k".into(), json::number_usize(k));
     root.insert("workers".into(), json::number_usize(args.workers));
     root.insert("max_batch".into(), json::number_usize(args.max_batch));
-    root.insert("seconds".into(), json::number_f64(args.seconds));
+    root.insert("seconds".into(), json_f64(args.seconds));
     root.insert("fast_path".into(), Value::Bool(args.fast_path));
     root.insert(
         "open_loop".into(),
-        measured_object(&m, &[("offered_qps", json::number_f64(rate))]),
+        measured_object(&m, &[("offered_qps", json_f64(rate))]),
     );
     root.insert("mutate".into(), Value::Object(mutate_o));
-    if let Some(plan) = &fault_plan {
-        let mut f = BTreeMap::new();
-        f.insert("spec".into(), Value::String(args.faults.clone().unwrap()));
-        f.insert("seed".into(), json::number_u64(plan.seed));
-        f.insert("injected".into(), json::number_u64(fault_totals.injected()));
-        f.insert(
-            "module_outages".into(),
-            json::number_u64(fault_totals.module_outages),
-        );
-        f.insert(
-            "failed_over".into(),
-            json::number_u64(fault_totals.failed_over),
-        );
-        f.insert("coverage".into(), json::number_f64(fault_totals.coverage()));
-        f.insert(
-            "recovery_seconds".into(),
-            json::number_f64(fault_totals.recovery_seconds),
-        );
-        root.insert("faults".into(), Value::Object(f));
-    }
-    let mut tele_o = BTreeMap::new();
-    tele_o.insert("records".into(), json::number_usize(sink.len()));
-    tele_o.insert("violations".into(), json::number_usize(0));
-    root.insert("telemetry".into(), Value::Object(tele_o));
-
-    let payload = json::to_string(&Value::Object(root));
-    std::fs::write(&args.json, payload + "\n")
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", args.json));
-    println!("wrote {}", args.json);
+    write_report(args, root);
 }
 
 /// Initial-load vectors come from the train split (the queries split
@@ -1405,25 +1384,215 @@ fn queries_or_train(train: &VectorStore, i: u32) -> &[f32] {
 
 fn measured_object(m: &Measured, extra: &[(&str, Value)]) -> Value {
     let mut o = BTreeMap::new();
-    o.insert("served".into(), json::number_u64(m.served));
-    o.insert("qps".into(), json::number_f64(m.qps()));
-    o.insert("cpu_qps".into(), json::number_f64(m.cpu_qps()));
-    o.insert("device_qps".into(), json::number_f64(m.device_qps()));
-    o.insert("p50_ms".into(), json::number_f64(m.percentile(0.50)));
-    o.insert("p95_ms".into(), json::number_f64(m.percentile(0.95)));
-    o.insert("p99_ms".into(), json::number_f64(m.percentile(0.99)));
+    o.insert("served".into(), json::number_u64(m.served()));
+    o.insert("qps".into(), json_f64(m.qps()));
+    o.insert("cpu_qps".into(), json_f64(m.cpu_qps()));
+    o.insert("device_qps".into(), json_f64(m.device_qps()));
+    o.insert("p50_ms".into(), json_f64(percentile(&m.latencies_ms, 0.50)));
+    o.insert("p95_ms".into(), json_f64(percentile(&m.latencies_ms, 0.95)));
+    o.insert("p99_ms".into(), json_f64(percentile(&m.latencies_ms, 0.99)));
     for (k, v) in extra {
         o.insert((*k).to_string(), v.clone());
     }
     Value::Object(o)
 }
 
+/// The report's `"open_loop"` object: the merged measurement, the
+/// completed+expired tails, fairness, and one object per tenant.
+fn open_report(outcome: &OpenOutcome) -> Value {
+    let with_expired = outcome.with_expired_ms();
+    let tenants: Vec<Value> = outcome
+        .tenants
+        .iter()
+        .map(|t| {
+            let mut o = BTreeMap::new();
+            o.insert("name".into(), Value::String(t.name.clone()));
+            o.insert("tenant".into(), json::number_u64(u64::from(t.id.0)));
+            o.insert("offered_qps".into(), json_f64(t.offered));
+            o.insert("arrivals".into(), json::number_u64(t.arrivals));
+            o.insert("served".into(), json::number_u64(t.served()));
+            o.insert("goodput_qps".into(), json_f64(t.goodput()));
+            o.insert("demand_met".into(), json_f64(t.demand_met()));
+            o.insert("p50_ms".into(), json_f64(percentile(&t.latencies_ms, 0.50)));
+            o.insert("p95_ms".into(), json_f64(percentile(&t.latencies_ms, 0.95)));
+            o.insert("p99_ms".into(), json_f64(percentile(&t.latencies_ms, 0.99)));
+            o.insert(
+                "p99_with_expired_ms".into(),
+                json_f64(percentile(&t.with_expired_ms(), 0.99)),
+            );
+            o.insert(
+                "rejected_overload".into(),
+                json::number_u64(t.rejected_overload),
+            );
+            o.insert(
+                "rejected_rate_limited".into(),
+                json::number_u64(t.rejected_rate_limited),
+            );
+            o.insert("expired".into(), json::number_u64(t.expired));
+            o.insert("degraded".into(), json::number_u64(t.degraded));
+            o.insert("device_seconds".into(), json_f64(t.device_seconds));
+            Value::Object(o)
+        })
+        .collect();
+    measured_object(
+        &outcome.measured,
+        &[
+            ("offered_qps", json_f64(outcome.offered_qps)),
+            ("achieved_qps", json_f64(outcome.achieved_qps)),
+            ("arrivals", json::number_u64(outcome.arrivals)),
+            (
+                "rejected_overload",
+                json::number_u64(outcome.total(|t| t.rejected_overload)),
+            ),
+            (
+                "rejected_rate_limited",
+                json::number_u64(outcome.total(|t| t.rejected_rate_limited)),
+            ),
+            (
+                "rejected_deadline",
+                json::number_u64(outcome.total(|t| t.expired)),
+            ),
+            (
+                "p50_with_expired_ms",
+                json_f64(percentile(&with_expired, 0.50)),
+            ),
+            (
+                "p95_with_expired_ms",
+                json_f64(percentile(&with_expired, 0.95)),
+            ),
+            (
+                "p99_with_expired_ms",
+                json_f64(percentile(&with_expired, 0.99)),
+            ),
+            ("jain_fairness", json_f64(outcome.jain())),
+            ("tenants", Value::Array(tenants)),
+        ],
+    )
+}
+
 fn hist_value(hist: &[u64]) -> Value {
     Value::Array(hist.iter().map(|&n| json::number_u64(n)).collect())
 }
 
+/// The end-of-run audit both harnesses close with, after every server
+/// has shut down. The `--telemetry` JSONL is written first, so a failing
+/// run still leaves its records behind. The run then fails on any
+/// retained telemetry violation, on a fault ledger that does not close
+/// (no injected fault may vanish unaccounted), or on a `--faults` plan
+/// that injected nothing. Adds the report's `"telemetry"` object and,
+/// under `--faults`, its `"faults"` object.
+fn audit(
+    args: &Args,
+    plan: Option<&FaultPlan>,
+    sink: &Telemetry,
+    root: &mut BTreeMap<String, Value>,
+) {
+    if let Some(path) = &args.telemetry {
+        sink.write_jsonl(std::path::Path::new(path))
+            .unwrap_or_else(|e| panic!("cannot write telemetry JSONL to {path}: {e}"));
+        println!("\ntelemetry: {} records -> {path}", sink.len());
+    }
+    let violations = sink.violations();
+    assert!(
+        violations.is_empty(),
+        "serve-path telemetry accounting violations: {violations:#?}"
+    );
+    println!("telemetry: {} verified records, 0 violations", sink.len());
+    let mut tele_o = BTreeMap::new();
+    tele_o.insert("records".into(), json::number_usize(sink.len()));
+    tele_o.insert("violations".into(), json::number_usize(0));
+    root.insert("telemetry".into(), Value::Object(tele_o));
+
+    let fault_totals = sink.fault_totals();
+    fault_totals
+        .check_closure()
+        .unwrap_or_else(|e| panic!("fault accounting does not close: {e}"));
+    let (Some(plan), Some(spec)) = (plan, &args.faults) else {
+        return;
+    };
+    println!(
+        "faults: {} injected = {} ecc-corrected + {} ecc-uncorrectable + \
+         {} crc (of which {} retried ok, {} link-failed) + {} vault outages + \
+         {} module outages + {} stragglers; {} failed over; coverage {:.4}",
+        fault_totals.injected(),
+        fault_totals.ecc_corrected,
+        fault_totals.ecc_uncorrectable,
+        fault_totals.crc_corruptions,
+        fault_totals.link_retries_ok,
+        fault_totals.link_failures,
+        fault_totals.vault_outages,
+        fault_totals.module_outages,
+        fault_totals.stragglers,
+        fault_totals.failed_over,
+        fault_totals.coverage(),
+    );
+    assert!(
+        fault_totals.injected() > 0,
+        "--faults was given but no fault was ever injected; \
+         the chaos run exercised nothing"
+    );
+    let mut f = BTreeMap::new();
+    f.insert("spec".into(), Value::String(spec.clone()));
+    f.insert("seed".into(), json::number_u64(plan.seed));
+    f.insert("injected".into(), json::number_u64(fault_totals.injected()));
+    f.insert(
+        "bit_flips".into(),
+        json::number_u64(fault_totals.bit_flip_events),
+    );
+    f.insert(
+        "ecc_corrected".into(),
+        json::number_u64(fault_totals.ecc_corrected),
+    );
+    f.insert(
+        "ecc_uncorrectable".into(),
+        json::number_u64(fault_totals.ecc_uncorrectable),
+    );
+    f.insert(
+        "crc_corruptions".into(),
+        json::number_u64(fault_totals.crc_corruptions),
+    );
+    f.insert(
+        "link_retries_ok".into(),
+        json::number_u64(fault_totals.link_retries_ok),
+    );
+    f.insert(
+        "link_failures".into(),
+        json::number_u64(fault_totals.link_failures),
+    );
+    f.insert(
+        "vault_outages".into(),
+        json::number_u64(fault_totals.vault_outages),
+    );
+    f.insert(
+        "module_outages".into(),
+        json::number_u64(fault_totals.module_outages),
+    );
+    f.insert(
+        "stragglers".into(),
+        json::number_u64(fault_totals.stragglers),
+    );
+    f.insert(
+        "failed_over".into(),
+        json::number_u64(fault_totals.failed_over),
+    );
+    f.insert("coverage".into(), json_f64(fault_totals.coverage()));
+    f.insert(
+        "recovery_seconds".into(),
+        json_f64(fault_totals.recovery_seconds),
+    );
+    root.insert("faults".into(), Value::Object(f));
+}
+
+fn write_report(args: &Args, root: BTreeMap<String, Value>) {
+    let payload = json::to_string(&Value::Object(root));
+    std::fs::write(&args.json, payload + "\n")
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", args.json));
+    println!("wrote {}", args.json);
+}
+
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv);
     if let Some(mutate) = args.mutate.as_deref().map(parse_mutate_spec) {
         assert!(
             args.tenants.is_none(),
@@ -1436,16 +1605,8 @@ fn main() {
     let bench = ssam_datasets::Benchmark::from_spec(spec);
     let k = args.k.unwrap_or_else(|| bench.k());
     let sink = Telemetry::new();
-    let mut device = {
-        let mut dev = SsamDevice::new(SsamConfig {
-            vector_length: 4,
-            optimize_kernels: !args.no_opt,
-            fast_path: args.fast_path,
-            ..SsamConfig::default()
-        });
-        dev.load_vectors(&bench.train);
-        dev
-    };
+    let mut device = SsamDevice::new(args.device_config());
+    device.load_vectors(&bench.train);
     device.attach_telemetry(&sink);
     let dataset_label = format!(
         "{} ({} train / {} queries, {}-d)",
@@ -1462,11 +1623,7 @@ fn main() {
         args.workers,
         args.max_batch,
         args.linger,
-        if args.fast_path {
-            "analytic fast path"
-        } else {
-            "cycle simulator"
-        }
+        args.executor()
     );
 
     // ---- Offline ceiling: the device's batch engine, no serving layer.
@@ -1505,34 +1662,7 @@ fn main() {
         fmt(offline_host)
     );
 
-    let fault_plan = args.faults.as_deref().map(|spec| {
-        Arc::new(FaultPlan::parse(spec).unwrap_or_else(|e| panic!("bad --faults spec: {e}")))
-    });
-    if let Some(plan) = &fault_plan {
-        println!(
-            "fault injection: seed={} bit_flip={} crc={} vault_out={} straggle={} module_out={}",
-            plan.seed,
-            plan.bit_flip_rate,
-            plan.crc_corruption_rate,
-            plan.vault_outage_rate,
-            plan.straggler_rate,
-            plan.module_outage_rate
-        );
-    }
-    let serve_config = ServeConfig {
-        max_batch: args.max_batch,
-        max_linger: args.linger,
-        workers: args.workers,
-        faults: ServeFaults {
-            plan: fault_plan.clone(),
-            // The load generator accepts partial answers and reports
-            // coverage honestly; the retry/degrade path is exercised by
-            // the runtime's own tests.
-            min_coverage: 0.0,
-            ..ServeFaults::default()
-        },
-        ..ServeConfig::default()
-    };
+    let serve_config = args.serve_config();
 
     // ---- Closed-loop concurrency sweep (one server across the sweep:
     // the batch histogram then spans all points; per-point stats are
@@ -1557,20 +1687,20 @@ fn main() {
         best_qps = best_qps.max(m.qps());
         sweep_rows.push(vec![
             c.to_string(),
-            m.served.to_string(),
+            m.served().to_string(),
             fmt(m.qps()),
             fmt(m.cpu_qps()),
             fmt(m.device_qps()),
-            format!("{:.2}", m.percentile(0.50)),
-            format!("{:.2}", m.percentile(0.95)),
-            format!("{:.2}", m.percentile(0.99)),
+            format!("{:.2}", percentile(&m.latencies_ms, 0.50)),
+            format!("{:.2}", percentile(&m.latencies_ms, 0.95)),
+            format!("{:.2}", percentile(&m.latencies_ms, 0.99)),
             format!("{mean_batch:.2}"),
         ]);
         sweep_json.push(measured_object(
             &m,
             &[
                 ("concurrency", json::number_usize(c)),
-                ("mean_batch", json::number_f64(mean_batch)),
+                ("mean_batch", json_f64(mean_batch)),
             ],
         ));
         top = Some((c, m, mean_batch));
@@ -1650,7 +1780,7 @@ fn main() {
     };
     let storm_tenants: Vec<TenantId> = specs.iter().filter(|s| s.storm).map(|s| s.id).collect();
     assert!(
-        storm_tenants.is_empty() || fault_plan.is_some(),
+        storm_tenants.is_empty() || serve_config.faults.plan.is_some(),
         "--tenants marks a storm tenant but no --faults plan was given"
     );
     let mut open_config = serve_config.clone();
@@ -1662,208 +1792,88 @@ fn main() {
     }
     let open_server = Arc::new(Server::start(device, open_config));
     let outcome = open_loop(&open_server, &queries, k, &specs, args.seconds);
-    let open = {
-        let m = &outcome.measured;
-        let rejected_overload: u64 = outcome.tenants.iter().map(|t| t.rejected_overload).sum();
-        let rejected_rate: u64 = outcome
-            .tenants
-            .iter()
-            .map(|t| t.rejected_rate_limited)
-            .sum();
-        let expired: u64 = outcome.tenants.iter().map(|t| t.expired).sum();
-        let expired_all: Vec<f64> = outcome
-            .tenants
-            .iter()
-            .flat_map(|t| t.expired_at_ms())
-            .collect();
-        let jain = jain_index(
-            &outcome
-                .tenants
-                .iter()
-                .map(TenantResult::demand_met)
-                .collect::<Vec<_>>(),
-        );
+    let m = &outcome.measured;
+    let jain = outcome.jain();
+    println!(
+        "\nopen loop: Poisson {} q/s offered for {:.1}s -> {} arrivals \
+         ({} q/s achieved), {} served ({} q/s goodput), p50 {:.2} ms, \
+         p99 {:.2} ms (with expired: {:.2} ms), {} overloaded, \
+         {} rate-limited, {} deadline-expired",
+        fmt(outcome.offered_qps),
+        m.elapsed,
+        outcome.arrivals,
+        fmt(outcome.achieved_qps),
+        m.served(),
+        fmt(m.qps()),
+        percentile(&m.latencies_ms, 0.50),
+        percentile(&m.latencies_ms, 0.99),
+        percentile(&outcome.with_expired_ms(), 0.99),
+        outcome.total(|t| t.rejected_overload),
+        outcome.total(|t| t.rejected_rate_limited),
+        outcome.total(|t| t.expired),
+    );
+    if outcome.tenants.len() > 1 {
         println!(
-            "\nopen loop: Poisson {} q/s offered for {:.1}s -> {} arrivals \
-             ({} q/s achieved), {} served ({} q/s goodput), p50 {:.2} ms, \
-             p99 {:.2} ms (with expired: {:.2} ms), {} overloaded, \
-             {} rate-limited, {} deadline-expired",
-            fmt(outcome.offered_qps),
-            m.elapsed,
-            outcome.arrivals,
-            fmt(outcome.achieved_qps),
-            m.served,
-            fmt(m.qps()),
-            m.percentile(0.50),
-            m.percentile(0.99),
-            tail_percentile(&m.latencies_ms, &expired_all, 0.99),
-            rejected_overload,
-            rejected_rate,
-            expired,
+            "\nper-tenant ({} tenants, Jain fairness {jain:.4}):",
+            outcome.tenants.len()
         );
-        if outcome.tenants.len() > 1 {
-            println!(
-                "\nper-tenant ({} tenants, Jain fairness {jain:.4}):",
-                outcome.tenants.len()
-            );
-            let rows: Vec<Vec<String>> = outcome
-                .tenants
-                .iter()
-                .map(|t| {
-                    vec![
-                        t.name.clone(),
-                        fmt(t.offered),
-                        t.arrivals.to_string(),
-                        fmt(t.goodput()),
-                        format!("{:.3}", t.demand_met()),
-                        format!("{:.2}", t.percentile(0.50)),
-                        format!("{:.2}", t.percentile(0.99)),
-                        format!("{:.2}", t.percentile_with_expired(0.99)),
-                        t.rejected_rate_limited.to_string(),
-                        t.expired.to_string(),
-                        t.degraded.to_string(),
-                    ]
-                })
-                .collect();
-            print_table(
-                args.csv,
-                &[
-                    "tenant",
-                    "offered q/s",
-                    "arrivals",
-                    "goodput q/s",
-                    "demand met",
-                    "p50 ms",
-                    "p99 ms",
-                    "p99+exp ms",
-                    "rate-limited",
-                    "expired",
-                    "degraded",
-                ],
-                &rows,
-            );
-        }
-        if let Some(min) = args.min_jain {
-            assert!(
-                outcome.tenants.len() > 1,
-                "--min-jain needs at least two tenants (got {})",
-                outcome.tenants.len()
-            );
-            assert!(
-                jain >= min,
-                "Jain fairness {jain:.4} fell below the --min-jain {min} gate"
-            );
-        }
-        let tenants_json: Vec<Value> = outcome
+        let rows: Vec<Vec<String>> = outcome
             .tenants
             .iter()
             .map(|t| {
-                let mut o = BTreeMap::new();
-                o.insert("name".into(), Value::String(t.name.clone()));
-                o.insert("tenant".into(), json::number_u64(u64::from(t.id.0)));
-                o.insert("offered_qps".into(), json::number_f64(t.offered));
-                o.insert("arrivals".into(), json::number_u64(t.arrivals));
-                o.insert("served".into(), json::number_u64(t.served()));
-                o.insert("goodput_qps".into(), json::number_f64(t.goodput()));
-                o.insert("demand_met".into(), json::number_f64(t.demand_met()));
-                o.insert("p50_ms".into(), json::number_f64(t.percentile(0.50)));
-                o.insert("p95_ms".into(), json::number_f64(t.percentile(0.95)));
-                o.insert("p99_ms".into(), json::number_f64(t.percentile(0.99)));
-                o.insert(
-                    "p99_with_expired_ms".into(),
-                    json::number_f64(t.percentile_with_expired(0.99)),
-                );
-                o.insert(
-                    "rejected_overload".into(),
-                    json::number_u64(t.rejected_overload),
-                );
-                o.insert(
-                    "rejected_rate_limited".into(),
-                    json::number_u64(t.rejected_rate_limited),
-                );
-                o.insert("expired".into(), json::number_u64(t.expired));
-                o.insert("degraded".into(), json::number_u64(t.degraded));
-                o.insert("device_seconds".into(), json::number_f64(t.device_seconds));
-                Value::Object(o)
+                vec![
+                    t.name.clone(),
+                    fmt(t.offered),
+                    t.arrivals.to_string(),
+                    fmt(t.goodput()),
+                    format!("{:.3}", t.demand_met()),
+                    format!("{:.2}", percentile(&t.latencies_ms, 0.50)),
+                    format!("{:.2}", percentile(&t.latencies_ms, 0.99)),
+                    format!("{:.2}", percentile(&t.with_expired_ms(), 0.99)),
+                    t.rejected_rate_limited.to_string(),
+                    t.expired.to_string(),
+                    t.degraded.to_string(),
+                ]
             })
             .collect();
-        measured_object(
-            m,
+        print_table(
+            args.csv,
             &[
-                ("offered_qps", json::number_f64(outcome.offered_qps)),
-                ("achieved_qps", json::number_f64(outcome.achieved_qps)),
-                ("arrivals", json::number_u64(outcome.arrivals)),
-                ("rejected_overload", json::number_u64(rejected_overload)),
-                ("rejected_rate_limited", json::number_u64(rejected_rate)),
-                ("rejected_deadline", json::number_u64(expired)),
-                (
-                    "p50_with_expired_ms",
-                    json::number_f64(tail_percentile(&m.latencies_ms, &expired_all, 0.50)),
-                ),
-                (
-                    "p95_with_expired_ms",
-                    json::number_f64(tail_percentile(&m.latencies_ms, &expired_all, 0.95)),
-                ),
-                (
-                    "p99_with_expired_ms",
-                    json::number_f64(tail_percentile(&m.latencies_ms, &expired_all, 0.99)),
-                ),
-                ("jain_fairness", json::number_f64(jain)),
-                ("tenants", Value::Array(tenants_json)),
+                "tenant",
+                "offered q/s",
+                "arrivals",
+                "goodput q/s",
+                "demand met",
+                "p50 ms",
+                "p99 ms",
+                "p99+exp ms",
+                "rate-limited",
+                "expired",
+                "degraded",
             ],
-        )
-    };
+            &rows,
+        );
+    }
+    if let Some(min) = args.min_jain {
+        assert!(
+            outcome.tenants.len() > 1,
+            "--min-jain needs at least two tenants (got {})",
+            outcome.tenants.len()
+        );
+        assert!(
+            jain >= min,
+            "Jain fairness {jain:.4} fell below the --min-jain {min} gate"
+        );
+    }
     let open_stats = Arc::into_inner(open_server).expect("sole owner").shutdown();
     let dyn_stats = Arc::into_inner(server).expect("sole owner").shutdown();
 
-    // ---- Telemetry cross-check: every served batch left verified
-    // records; any retained violation fails the run.
-    if let Some(path) = &args.telemetry {
-        sink.write_jsonl(std::path::Path::new(path))
-            .unwrap_or_else(|e| panic!("cannot write telemetry JSONL to {path}: {e}"));
-        println!("\ntelemetry: {} records -> {path}", sink.len());
-    }
-    let violations = sink.violations();
-    assert!(
-        violations.is_empty(),
-        "serve-path telemetry accounting violations: {violations:#?}"
-    );
-    println!("telemetry: {} verified records, 0 violations", sink.len());
-
-    // ---- Fault audit: the aggregate of every per-query fault record
-    // must close — no injected fault may vanish unaccounted.
-    let fault_totals = sink.fault_totals();
-    fault_totals
-        .check_closure()
-        .unwrap_or_else(|e| panic!("fault accounting does not close: {e}"));
-    if fault_plan.is_some() {
-        println!(
-            "faults: {} injected = {} ecc-corrected + {} ecc-uncorrectable + \
-             {} crc (of which {} retried ok, {} link-failed) + {} vault outages + \
-             {} module outages + {} stragglers; {} failed over; coverage {:.4}",
-            fault_totals.injected(),
-            fault_totals.ecc_corrected,
-            fault_totals.ecc_uncorrectable,
-            fault_totals.crc_corruptions,
-            fault_totals.link_retries_ok,
-            fault_totals.link_failures,
-            fault_totals.vault_outages,
-            fault_totals.module_outages,
-            fault_totals.stragglers,
-            fault_totals.failed_over,
-            fault_totals.coverage(),
-        );
-        assert!(
-            fault_totals.injected() > 0,
-            "--faults was given but no fault was ever injected; \
-             the chaos run exercised nothing"
-        );
-    }
+    let mut root = BTreeMap::new();
+    audit(&args, serve_config.faults.plan.as_deref(), &sink, &mut root);
 
     // ---- BENCH_serve.json
-    let mut root = BTreeMap::new();
     root.insert("dataset".into(), Value::String(dataset_label));
-    root.insert("scale".into(), json::number_f64(args.scale));
+    root.insert("scale".into(), json_f64(args.scale));
     root.insert("k".into(), json::number_usize(k));
     root.insert("workers".into(), json::number_usize(args.workers));
     root.insert("max_batch".into(), json::number_usize(args.max_batch));
@@ -1871,94 +1881,26 @@ fn main() {
         "linger_us".into(),
         json::number_u64(args.linger.as_micros() as u64),
     );
-    root.insert("seconds_per_point".into(), json::number_f64(args.seconds));
+    root.insert("seconds_per_point".into(), json_f64(args.seconds));
     root.insert("optimize_kernels".into(), Value::Bool(!args.no_opt));
     root.insert("fast_path".into(), Value::Bool(args.fast_path));
     let mut offline_o = BTreeMap::new();
     offline_o.insert("batch".into(), json::number_usize(offline_batch));
-    offline_o.insert("host_qps".into(), json::number_f64(offline_host));
-    offline_o.insert("cpu_qps".into(), json::number_f64(offline_cpu));
-    offline_o.insert("model_qps".into(), json::number_f64(offline_model));
+    offline_o.insert("host_qps".into(), json_f64(offline_host));
+    offline_o.insert("cpu_qps".into(), json_f64(offline_cpu));
+    offline_o.insert("model_qps".into(), json_f64(offline_model));
     root.insert("offline".into(), Value::Object(offline_o));
     root.insert("closed_loop".into(), Value::Array(sweep_json));
     root.insert(
         "serial_baseline".into(),
         measured_object(&serial, &[("concurrency", json::number_usize(top_c))]),
     );
-    root.insert(
-        "speedup_vs_serial_cpu".into(),
-        json::number_f64(speedup_cpu),
-    );
-    root.insert(
-        "speedup_vs_serial_model".into(),
-        json::number_f64(speedup_model),
-    );
-    root.insert(
-        "speedup_vs_serial_host".into(),
-        json::number_f64(speedup_host),
-    );
-    root.insert(
-        "fraction_of_offline_cpu".into(),
-        json::number_f64(offline_fraction),
-    );
-    root.insert("open_loop".into(), open);
+    root.insert("speedup_vs_serial_cpu".into(), json_f64(speedup_cpu));
+    root.insert("speedup_vs_serial_model".into(), json_f64(speedup_model));
+    root.insert("speedup_vs_serial_host".into(), json_f64(speedup_host));
+    root.insert("fraction_of_offline_cpu".into(), json_f64(offline_fraction));
+    root.insert("open_loop".into(), open_report(&outcome));
     root.insert("batch_hist".into(), hist_value(&final_stats.batch_hist));
-    let mut tele_o = BTreeMap::new();
-    tele_o.insert("records".into(), json::number_usize(sink.len()));
-    tele_o.insert("violations".into(), json::number_usize(0));
-    root.insert("telemetry".into(), Value::Object(tele_o));
-    if let Some(plan) = &fault_plan {
-        let mut f = BTreeMap::new();
-        f.insert("spec".into(), Value::String(args.faults.clone().unwrap()));
-        f.insert("seed".into(), json::number_u64(plan.seed));
-        f.insert("injected".into(), json::number_u64(fault_totals.injected()));
-        f.insert(
-            "bit_flips".into(),
-            json::number_u64(fault_totals.bit_flip_events),
-        );
-        f.insert(
-            "ecc_corrected".into(),
-            json::number_u64(fault_totals.ecc_corrected),
-        );
-        f.insert(
-            "ecc_uncorrectable".into(),
-            json::number_u64(fault_totals.ecc_uncorrectable),
-        );
-        f.insert(
-            "crc_corruptions".into(),
-            json::number_u64(fault_totals.crc_corruptions),
-        );
-        f.insert(
-            "link_retries_ok".into(),
-            json::number_u64(fault_totals.link_retries_ok),
-        );
-        f.insert(
-            "link_failures".into(),
-            json::number_u64(fault_totals.link_failures),
-        );
-        f.insert(
-            "vault_outages".into(),
-            json::number_u64(fault_totals.vault_outages),
-        );
-        f.insert(
-            "module_outages".into(),
-            json::number_u64(fault_totals.module_outages),
-        );
-        f.insert(
-            "stragglers".into(),
-            json::number_u64(fault_totals.stragglers),
-        );
-        f.insert(
-            "failed_over".into(),
-            json::number_u64(fault_totals.failed_over),
-        );
-        f.insert("coverage".into(), json::number_f64(fault_totals.coverage()));
-        f.insert(
-            "recovery_seconds".into(),
-            json::number_f64(fault_totals.recovery_seconds),
-        );
-        root.insert("faults".into(), Value::Object(f));
-    }
     let mut stats_o = BTreeMap::new();
     for (name, s) in [("dynamic", &dyn_stats), ("open_loop", &open_stats)] {
         let mut o = BTreeMap::new();
@@ -1978,7 +1920,7 @@ fn main() {
             json::number_u64(s.rejected_rate_limited),
         );
         o.insert("batches".into(), json::number_u64(s.batches));
-        o.insert("mean_batch".into(), json::number_f64(s.mean_batch()));
+        o.insert("mean_batch".into(), json_f64(s.mean_batch()));
         o.insert("degraded".into(), json::number_u64(s.degraded));
         o.insert(
             "retried_degraded".into(),
@@ -1989,25 +1931,59 @@ fn main() {
         stats_o.insert(name.to_string(), Value::Object(o));
     }
     root.insert("server_stats".into(), Value::Object(stats_o));
-
-    let payload = json::to_string(&Value::Object(root));
-    std::fs::write(&args.json, payload + "\n")
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", args.json));
-    println!("wrote {}", args.json);
+    write_report(&args, root);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn measured(latencies_ms: Vec<f64>) -> Measured {
-        Measured {
-            served: latencies_ms.len() as u64,
-            elapsed: 1.0,
-            cpu_seconds: None,
-            device_seconds: 0.0,
+    fn tenant(
+        name: &str,
+        latencies_ms: Vec<f64>,
+        expired: u64,
+        timeout_ms: Option<f64>,
+    ) -> TenantResult {
+        TenantResult {
+            name: name.to_string(),
+            id: TenantId(0),
+            offered: 200.0,
+            timeout_ms,
+            arrivals: latencies_ms.len() as u64 + expired,
+            rejected_overload: 0,
+            rejected_rate_limited: 0,
+            expired,
+            degraded: 0,
+            device_seconds: 1e-6 * latencies_ms.len() as f64,
             latencies_ms,
+            elapsed: 1.0,
         }
+    }
+
+    /// Every number in a report, by path, checked finite as the
+    /// serializer requires.
+    fn assert_all_finite(v: &Value, path: &str) {
+        match v {
+            Value::Number(_) => {
+                let x = v.as_f64().expect("number");
+                assert!(x.is_finite(), "{path} = {x}");
+            }
+            Value::Array(a) => {
+                for (i, x) in a.iter().enumerate() {
+                    assert_all_finite(x, &format!("{path}[{i}]"));
+                }
+            }
+            Value::Object(o) => {
+                for (k, x) in o {
+                    assert_all_finite(x, &format!("{path}.{k}"));
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn field(v: &Value, key: &str) -> f64 {
+        v.field(key).and_then(Value::as_f64).expect(key)
     }
 
     /// At small sample counts the old `round((len−1)·q)` index collapsed
@@ -2015,17 +1991,17 @@ mod tests {
     /// report the sample maximum for any q past (len−1)/len.
     #[test]
     fn small_sample_tails_reach_the_maximum() {
-        let m = measured((1..=10).map(f64::from).collect());
-        assert_eq!(m.percentile(0.50), 5.0);
-        assert_eq!(m.percentile(0.95), 10.0);
-        assert_eq!(m.percentile(0.99), 10.0);
-        assert_eq!(m.percentile(1.0), 10.0);
+        let ten: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(percentile(&ten, 0.50), 5.0);
+        assert_eq!(percentile(&ten, 0.95), 10.0);
+        assert_eq!(percentile(&ten, 0.99), 10.0);
+        assert_eq!(percentile(&ten, 1.0), 10.0);
 
         // len = 20: old formula gave round(19 · 0.99) = 19 → 19.0 for
         // p99, silently discarding the worst observation.
-        let m = measured((1..=20).map(f64::from).collect());
-        assert_eq!(m.percentile(0.95), 19.0);
-        assert_eq!(m.percentile(0.99), 20.0);
+        let twenty: Vec<f64> = (1..=20).map(f64::from).collect();
+        assert_eq!(percentile(&twenty, 0.95), 19.0);
+        assert_eq!(percentile(&twenty, 0.99), 20.0);
     }
 
     /// At len = 100 the q-th percentile is exactly the ⌈100q⌉-th order
@@ -2034,20 +2010,21 @@ mod tests {
     fn hundred_samples_hit_the_exact_order_statistic() {
         let mut v: Vec<f64> = (1..=100).map(f64::from).collect();
         v.reverse(); // percentile() sorts; feed it unsorted data.
-        let m = measured(v);
-        assert_eq!(m.percentile(0.50), 50.0);
-        assert_eq!(m.percentile(0.95), 95.0);
-        assert_eq!(m.percentile(0.99), 99.0);
+        assert_eq!(percentile(&v, 0.50), 50.0);
+        assert_eq!(percentile(&v, 0.95), 95.0);
+        assert_eq!(percentile(&v, 0.99), 99.0);
     }
 
     #[test]
     fn degenerate_inputs() {
-        assert!(measured(vec![]).percentile(0.99).is_nan());
-        let one = measured(vec![7.5]);
-        assert_eq!(one.percentile(0.0), 7.5);
-        assert_eq!(one.percentile(0.99), 7.5);
-        assert_eq!(percentile_rank(1, 0.0), 0);
-        assert_eq!(percentile_rank(5, 1.0), 4);
+        assert!(percentile(&[], 0.99).is_nan());
+        assert_eq!(percentile(&[7.5], 0.0), 7.5);
+        assert_eq!(percentile(&[7.5], 0.99), 7.5);
+        // Samples equal to their zero-based rank read back the rank
+        // nearest-rank picks.
+        let ranks: Vec<f64> = (0..5).map(f64::from).collect();
+        assert_eq!(percentile(&ranks[..1], 0.0), 0.0);
+        assert_eq!(percentile(&ranks, 1.0), 4.0);
     }
 
     /// The cursor the open loop indexes queries with must survive past
@@ -2077,21 +2054,21 @@ mod tests {
     fn expired_requests_count_at_their_deadline() {
         // 98 fast completions; 2 requests expired at a 100 ms deadline.
         let completed: Vec<f64> = (1..=98).map(|i| f64::from(i) * 0.1).collect();
-        let expired = vec![100.0, 100.0];
+        let t = tenant("t", completed, 2, Some(100.0));
         // Completed-only p99 pretends the tail is sub-10 ms...
-        assert!(tail_percentile(&completed, &[], 0.99) < 10.0);
+        assert!(percentile(&t.latencies_ms, 0.99) < 10.0);
         // ...but the honest tail is the deadline itself.
-        assert_eq!(tail_percentile(&completed, &expired, 0.99), 100.0);
-        assert_eq!(tail_percentile(&completed, &expired, 0.50), 5.0);
+        assert_eq!(percentile(&t.with_expired_ms(), 0.99), 100.0);
+        assert_eq!(percentile(&t.with_expired_ms(), 0.50), 5.0);
         // More shedding (fewer completions, more expiries) must not
         // lower the combined p99.
         let fewer: Vec<f64> = (1..=50).map(|i| f64::from(i) * 0.1).collect();
-        let more_expired = vec![100.0; 50];
+        let shed = tenant("shed", fewer, 50, Some(100.0));
         assert!(
-            tail_percentile(&fewer, &more_expired, 0.99)
-                >= tail_percentile(&completed, &expired, 0.99)
+            percentile(&shed.with_expired_ms(), 0.99) >= percentile(&t.with_expired_ms(), 0.99)
         );
-        assert!(tail_percentile(&[], &[], 0.99).is_nan());
+        assert!(tenant("idle", vec![], 0, None).with_expired_ms().is_empty());
+        assert!(percentile(&[], 0.99).is_nan());
     }
 
     #[test]
@@ -2116,5 +2093,83 @@ mod tests {
         assert!(b.storm);
         let qos = b.qos();
         assert_eq!((qos.rate, qos.burst, qos.tier), (Some(40.0), 8.0, 1));
+    }
+
+    /// A `--mutate` run with no reads writes an open-loop object over an
+    /// empty measurement: device q/s over zero device seconds and every
+    /// percentile are NaN, which the report writes as 0.0.
+    #[test]
+    fn empty_measurement_reports_zeros() {
+        let empty = Measured {
+            elapsed: 1.0,
+            cpu_seconds: Some(0.5),
+            device_seconds: 0.0,
+            latencies_ms: vec![],
+        };
+        let report = measured_object(&empty, &[("offered_qps", json_f64(50.0))]);
+        assert_all_finite(&report, "open_loop");
+        for key in ["device_qps", "p50_ms", "p95_ms", "p99_ms"] {
+            assert_eq!(field(&report, key), 0.0, "{key}");
+        }
+        assert_eq!(field(&report, "offered_qps"), 50.0);
+    }
+
+    /// A tenant whose every arrival expired has no completed sample: its
+    /// percentiles read 0.0 and its `served` count says why.
+    #[test]
+    fn tenant_with_no_completions_reports_zeros() {
+        let a = tenant("a", vec![1.0, 2.0, 3.0], 0, None);
+        let mut b = tenant("b", vec![], 192, Some(0.0));
+        b.id = TenantId(1);
+        let outcome = OpenOutcome {
+            arrivals: a.arrivals + b.arrivals,
+            offered_qps: a.offered + b.offered,
+            achieved_qps: 195.0,
+            measured: Measured {
+                elapsed: 1.0,
+                cpu_seconds: Some(0.5),
+                device_seconds: a.device_seconds,
+                latencies_ms: a.latencies_ms.clone(),
+            },
+            tenants: vec![a, b],
+        };
+        let report = open_report(&outcome);
+        assert_all_finite(&report, "open_loop");
+        let b = &report.field("tenants").and_then(Value::as_array).unwrap()[1];
+        assert_eq!(field(b, "served"), 0.0);
+        assert_eq!(field(b, "expired"), 192.0);
+        for key in ["p50_ms", "p95_ms", "p99_ms", "p99_with_expired_ms"] {
+            assert_eq!(field(b, key), 0.0, "{key}");
+        }
+        assert_eq!(field(&report, "rejected_deadline"), 192.0);
+    }
+
+    #[test]
+    fn mutate_spec_keeps_the_default_of_an_omitted_key() {
+        let m = parse_mutate_spec("insert=0.7");
+        assert_eq!((m.insert, m.delete), (0.7, 0.05));
+        let m = parse_mutate_spec("delete=0.1");
+        assert_eq!((m.insert, m.delete), (0.2, 0.1));
+        let m = parse_mutate_spec("");
+        assert_eq!((m.insert, m.delete), (0.2, 0.05));
+    }
+
+    #[test]
+    #[should_panic(expected = "sum to at most 1")]
+    fn mutate_spec_rejects_fractions_over_one() {
+        parse_mutate_spec("insert=0.7,delete=0.4");
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown mutate key `read=0.5`")]
+    fn mutate_spec_rejects_an_unknown_key() {
+        parse_mutate_spec("insert=0.2,read=0.5");
+    }
+
+    #[test]
+    #[should_panic(expected = "--concurrency entries must be positive")]
+    fn zero_clients_are_rejected_at_parse_time() {
+        let argv: Vec<String> = ["--concurrency", "4,0"].map(String::from).to_vec();
+        parse_args(&argv);
     }
 }

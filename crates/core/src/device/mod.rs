@@ -332,11 +332,6 @@ impl SsamDevice {
         self.telemetry = Some(sink.clone());
     }
 
-    /// Detaches the telemetry sink, if any.
-    pub fn detach_telemetry(&mut self) {
-        self.telemetry = None;
-    }
-
     /// Number of vectors loaded.
     pub fn len(&self) -> usize {
         self.vectors

@@ -506,14 +506,6 @@ impl Store {
         self.wal.bytes()
     }
 
-    /// The durable prefix of the WAL: bytes flushed per the configured
-    /// [`WalSync`] policy. Under [`WalSync::EveryRecord`] this equals
-    /// [`Store::wal_bytes`]; under [`WalSync::OnSeal`] data records past
-    /// the last lifecycle flush are still in the volatile tail.
-    pub fn durable_wal_bytes(&self) -> &[u8] {
-        self.wal.durable_bytes()
-    }
-
     /// The WAL image a crash at torn-tail point `cut` leaves behind:
     /// the synced watermark always survives, unsynced bytes only up to
     /// `cut`. Feed the result to [`Store::open`].

@@ -510,11 +510,6 @@ impl ShardedStore {
         self.modules[m].forced_down = false;
     }
 
-    /// True when module `m` is forced down.
-    pub fn module_down(&self, m: usize) -> bool {
-        self.modules[m].forced_down
-    }
-
     /// Per-module degraded flags (reads route around `true` modules
     /// except for periodic probes).
     pub fn degraded_modules(&self) -> Vec<bool> {
@@ -938,11 +933,6 @@ impl ShardedStore {
             });
         }
         agg.expect("at least one module")
-    }
-
-    /// Per-module lifecycle counters.
-    pub fn module_stats(&self, m: usize) -> StoreStats {
-        self.modules[m].store.stats()
     }
 
     /// Builds the sharded account (cross-checked by

@@ -306,11 +306,6 @@ impl Wal {
         self.synced as u64
     }
 
-    /// The durable prefix of the log image.
-    pub fn durable_bytes(&self) -> &[u8] {
-        &self.bytes[..self.synced]
-    }
-
     /// What a crash at torn-tail point `cut` leaves behind: the synced
     /// prefix always survives; unsynced bytes survive only up to `cut`.
     pub fn crash_image(&self, cut: u64) -> &[u8] {
