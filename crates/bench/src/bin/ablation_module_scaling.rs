@@ -5,7 +5,7 @@
 //!
 //! Holds the dataset fixed and sweeps the module count: per-module scan
 //! time shrinks with the shard, link costs grow with chain depth, and the
-//! host reduce stays negligible — the fabric "consist[s] of kNN results
+//! host reduce stays negligible — the fabric "consist\[s\] of kNN results
 //! which are a fraction of the original dataset size".
 
 use ssam_bench::{fmt, print_table, ExpConfig};

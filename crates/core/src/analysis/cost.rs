@@ -21,13 +21,13 @@
 //!
 //! The machinery, per program:
 //!
-//! 1. a forward symbolic fixpoint ([`Sym`]) tracks, per scalar register,
+//! 1. a forward symbolic fixpoint (`Sym`) tracks, per scalar register,
 //!    exact constants, "entry value of `sN` plus a constant" provenance,
 //!    and scratchpad/DRAM region membership;
 //! 2. registers whose *entry* value feeds a `MEM_FETCH` base are the
 //!    driver's DRAM cursors — that is how the model learns the driver
 //!    contract (`s1` = shard base) without being told;
-//! 3. [`super::loops`] recovers the loop forest; trip counts come from
+//! 3. the `loops` pass recovers the loop forest; trip counts come from
 //!    the counted-loop idiom, or from `n` for the top-level scan loop
 //!    (recognized by its exit test comparing two driver pointers);
 //! 4. per-instruction execution counts follow from dominance within the

@@ -10,7 +10,7 @@
 //!
 //! Passes (each a separate submodule):
 //!
-//! * [`cfg`] — control-flow graph, branch-target validation,
+//! * [`cfg`](mod@cfg) — control-flow graph, branch-target validation,
 //!   reachability, missing-`HALT` paths.
 //! * [`regflow`] — register def-use dataflow: reads of scalar/vector
 //!   registers never written on any (or some) path, modulo the
@@ -36,7 +36,7 @@
 //! missing-`HALT` fault (property-tested in `tests/analysis_properties.rs`).
 //!
 //! Beyond linting, the same dataflow machinery (forward/backward solvers
-//! in [`cfg`], the shared constant lattice in `constprop`, loop structure
+//! in [`cfg`](mod@cfg), the shared constant lattice in `constprop`, loop structure
 //! and trip counts in `loops`) drives two *clients* that transform and
 //! predict rather than check:
 //!

@@ -10,7 +10,7 @@
 //! Passes, iterated to a fixpoint (bounded by [`OptConfig::max_rounds`]):
 //!
 //! 1. **Sparse conditional constant propagation** over the shared
-//!    lattice of [`super::constprop`], with feasible-edge narrowing: a
+//!    lattice of `constprop`, with feasible-edge narrowing: a
 //!    branch whose comparands are both constant contributes only its
 //!    taken (or fallthrough) edge, so loop bodies whose trip count
 //!    degenerates to one — e.g. a `dims ≤ VL` scan, where the counted
@@ -21,7 +21,7 @@
 //!    SCCP proves unreachable, and branches it resolves, are deleted
 //!    with branch targets remapped.
 //! 3. **Dead-code elimination** via backward liveness (the
-//!    [`super::cfg::backward_fixpoint`] solver over `(sreg, vreg)`
+//!    `cfg::backward_fixpoint` solver over `(sreg, vreg)`
 //!    masks). Only effect-free instruction shapes are candidates:
 //!    ALU/move/fxp results never read again. Loads, stores, prefetches,
 //!    and queue/stack operations always survive — they carry timing or
@@ -32,7 +32,7 @@
 //!    table (the PU has no alias analysis); data under the PU is
 //!    otherwise read-only.
 //! 5. **Loop-invariant code motion** for constant materializations
-//!    (`op rd, s0, imm`) inside natural loops ([`super::loops`]): the
+//!    (`op rd, s0, imm`) inside natural loops (from `loops`): the
 //!    single def is hoisted immediately before the loop header when no
 //!    path can observe the difference.
 //!

@@ -25,11 +25,16 @@
 //! * the host merge is the only reader of a vault's list, so
 //!   [`scan_bounded`] also abandons a candidate mid-vector once its
 //!   partial sum shows it cannot enter the query's merged top-k: against
-//!   the vault queue's k-th value and against the k-th smallest value
-//!   the query's earlier kept vaults returned ([`fold_kept`]). It runs
-//!   only where [`cannot_wrap`] proves no partial sum wraps; elsewhere
-//!   the full loop runs. A vault's list is then no longer its own exact
-//!   top-k, but the merged answer is bit-identical (DESIGN §11).
+//!   the vault queue's k-th value, against the k-th smallest value the
+//!   query's earlier kept vaults returned ([`fold_kept`]), and against a
+//!   cut the caller passes (the store's running k-th, carried across its
+//!   segments). It runs only where [`cannot_wrap`] proves no partial sum
+//!   wraps; elsewhere the full loop runs. A vault's list is then no
+//!   longer its own exact top-k, but the merged answer is bit-identical
+//!   (DESIGN §11);
+//! * rows the caller masks (the store's superseded rows) never reach
+//!   the merge, so both scans skip them unread; the counters still
+//!   model the device returning `k + masked` entries per vault.
 //!
 //! So the fast path computes each surviving candidate's raw distance
 //! host-side, selects through the same priority queue, and takes the
@@ -47,7 +52,7 @@
 //! full-range words, heavily tied shards and rows at the served width —
 //! and asserts bit-identity on every observable.
 
-use super::DeviceMetric;
+use super::{DeviceMetric, RowMask};
 use crate::analysis::cost::{estimate_with, CostParams};
 use crate::isa::inst::Instruction;
 use crate::sim::pqueue::PqEntry;
@@ -174,35 +179,59 @@ pub(super) fn cannot_wrap(metric: DeviceMetric, max_abs: u64, vec_words: usize) 
     }
 }
 
+/// One shard's candidate rows as a scan sees them: the staged words,
+/// `vec_words` to a row, and the rows to skip unread. `masked` holds
+/// device ids, and the shard's first row is device id `first_id`.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Rows<'a> {
+    pub(super) words: &'a [i32],
+    pub(super) vec_words: usize,
+    pub(super) first_id: u32,
+    pub(super) masked: &'a RowMask,
+}
+
+impl<'a> Rows<'a> {
+    /// The unmasked rows, each with its local id (scan order).
+    #[inline(always)]
+    fn unmasked(self) -> impl Iterator<Item = (usize, &'a [i32])> {
+        self.words
+            .chunks_exact(self.vec_words)
+            .enumerate()
+            .filter(move |&(local, _)| !self.masked.contains(self.first_id + local as u32))
+    }
+}
+
 /// Scans one shard for one query, exactly as the hardware-queue kernel
-/// would: local ids in scan order, raw Q16.16/popcount distances, and
-/// the real shift-register priority queue for selection. `pq` is reset
-/// first, so one queue (chained to hold `k`) serves a whole batch.
-/// Returns the queue's best `k` entries, best first — the same
-/// `(id, value)` tuples the device reads back from a simulated PU's
-/// queue.
+/// would over its unmasked rows: local ids in scan order, raw
+/// Q16.16/popcount distances, and the real shift-register priority queue
+/// for selection. `pq` is reset first, so one queue (chained to hold
+/// `k`) serves a whole batch. Returns the queue's best `k` entries, best
+/// first — the same `(id, value)` tuples the device reads back from a
+/// simulated PU's queue, less any masked row — and the number of words
+/// read.
 ///
 /// A candidate whose `(value, id)` is not below the queue's current
 /// k-th entry is never inserted: it already has `k` better entries ahead
 /// of it, and entries only ever improve, so it could not reach the
-/// first `k`. The queue's first `k` are thus the shard's exact top-k in
-/// the queue's own order, as on the device; only positions past `k`,
-/// which nobody reads, may differ.
+/// first `k`. The queue's first `k` are thus the exact top-k of the
+/// shard's unmasked rows in the queue's own order, as on the device;
+/// only positions past `k`, which nobody reads, may differ.
 ///
-/// This is the full loop: every candidate's every word. The batch engine
-/// runs it for a cell that fails [`cannot_wrap`], and it is the scalar
-/// twin the unit tests hold [`scan_bounded`] to.
+/// This is the full loop: every unmasked candidate's every word. The
+/// batch engine runs it for a cell that fails [`cannot_wrap`], and it is
+/// the scalar twin the unit tests hold [`scan_bounded`] to.
 pub(super) fn scan_shard<'q>(
     metric: DeviceMetric,
     query: &[i32],
-    shard_words: &[i32],
-    vec_words: usize,
+    rows: Rows<'_>,
     k: usize,
     pq: &'q mut HardwarePriorityQueue,
-) -> &'q [PqEntry] {
+) -> (&'q [PqEntry], u64) {
     pq.reset();
-    for (local, cand) in shard_words.chunks_exact(vec_words).enumerate() {
+    let mut read = 0u64;
+    for (local, cand) in rows.unmasked() {
         let (id, value) = (local as i32, raw_distance(metric, query, cand));
+        read += cand.len() as u64;
         if pq
             .load(k - 1)
             .is_some_and(|kth| (value, id) >= (kth.value, kth.id))
@@ -211,42 +240,38 @@ pub(super) fn scan_shard<'q>(
         }
         pq.insert(id, value);
     }
-    &pq.entries()[..k.min(pq.len())]
+    (&pq.entries()[..k.min(pq.len())], read)
 }
 
 /// [`scan_shard`] with early abandoning, for a cell that passes
 /// [`cannot_wrap`]. A candidate's terms are added up
 /// [`ABANDON_BLOCK`] words at a time, and the candidate is dropped as
 /// soon as its partial sum exceeds `min(theta, kth) − 1`, where `kth`
-/// is the queue's current k-th value and `theta` the query's cross-vault
-/// bound ([`fold_kept`]). Under the no-wrap proof a partial sum never
-/// exceeds the final value, and scan-order ids ascend, so against `kth`
-/// this is [`scan_shard`]'s `(value, id)` reject applied early; against
-/// `theta` it drops candidates the host merge cannot keep. A survivor is
-/// inserted with its full value. Returns the queue's best `k` entries
-/// and the number of words read.
+/// is the queue's current k-th value and `theta` the smaller of the
+/// query's cross-vault bound ([`fold_kept`]) and the caller's cut. Under
+/// the no-wrap proof a partial sum never exceeds the final value, and
+/// scan-order ids ascend, so against `kth` this is [`scan_shard`]'s
+/// `(value, id)` reject applied early; against `theta` it drops
+/// candidates the host merge cannot keep. A survivor is inserted with
+/// its full value. Returns the queue's best `k` entries and the number
+/// of words read.
 ///
-/// The queue's first `k` are therefore the shard's exact top-k among
-/// candidates below `theta`: no longer the shard's own top-k, but the
+/// The queue's first `k` are therefore the exact top-k of the shard's
+/// unmasked rows below `theta`: no longer the shard's own top-k, but the
 /// merged answer is unchanged (DESIGN §11).
 pub(super) fn scan_bounded<'q>(
     metric: DeviceMetric,
     query: &[i32],
-    shard_words: &[i32],
-    vec_words: usize,
+    rows: Rows<'_>,
     k: usize,
     theta: Option<i32>,
     pq: &'q mut HardwarePriorityQueue,
 ) -> (&'q [PqEntry], u64) {
     pq.reset();
     let read = match metric {
-        DeviceMetric::Euclidean => {
-            bounded(euclidean_term, query, shard_words, vec_words, k, theta, pq)
-        }
-        DeviceMetric::Manhattan => {
-            bounded(manhattan_term, query, shard_words, vec_words, k, theta, pq)
-        }
-        DeviceMetric::Hamming => bounded(hamming_term, query, shard_words, vec_words, k, theta, pq),
+        DeviceMetric::Euclidean => bounded(euclidean_term, query, rows, k, theta, pq),
+        DeviceMetric::Manhattan => bounded(manhattan_term, query, rows, k, theta, pq),
+        DeviceMetric::Hamming => bounded(hamming_term, query, rows, k, theta, pq),
         DeviceMetric::Cosine => unreachable!("cosine has no analytic fast path"),
     };
     (&pq.entries()[..k.min(pq.len())], read)
@@ -258,8 +283,7 @@ pub(super) fn scan_bounded<'q>(
 fn bounded(
     term: impl Fn(i32, i32) -> i32 + Copy,
     query: &[i32],
-    shard_words: &[i32],
-    vec_words: usize,
+    rows: Rows<'_>,
     k: usize,
     theta: Option<i32>,
     pq: &mut HardwarePriorityQueue,
@@ -269,7 +293,7 @@ fn bounded(
     let mut limit = theta.map_or(i32::MAX, |t| t.saturating_sub(1));
     let (q_blocks, q_tail) = query.as_chunks::<ABANDON_BLOCK>();
     let mut read = 0u64;
-    'scan: for (local, cand) in shard_words.chunks_exact(vec_words).enumerate() {
+    'scan: for (local, cand) in rows.unmasked() {
         let (c_blocks, c_tail) = cand.as_chunks::<ABANDON_BLOCK>();
         let mut acc = 0i32;
         for (c, q) in c_blocks.iter().zip(q_blocks) {
@@ -374,11 +398,11 @@ mod tests {
                     .collect();
 
                 let mut pq = HardwarePriorityQueue::new();
-                let fast: Vec<(i32, i32)> = scan_shard(metric, &query, &dram, vw, k, &mut pq)
-                    .iter()
-                    .map(|e| (e.id, e.value))
-                    .collect();
+                let none = RowMask::default();
+                let (fast, read) = scan_shard(metric, &query, rows(&dram, vw, &none), k, &mut pq);
+                let fast: Vec<(i32, i32)> = fast.iter().map(|e| (e.id, e.value)).collect();
                 assert_eq!(fast, sim, "{} vl={vl}", kernel.name);
+                assert_eq!(read, dram.len() as u64);
                 assert_eq!(
                     synthesize_stats(&kernel.program, vl, n as u64),
                     Some(stats),
@@ -439,15 +463,31 @@ mod tests {
         assert_eq!(raw_distance(DeviceMetric::Euclidean, &ys, &xs), sum);
     }
 
+    /// Every row of `words` as one shard starting at device id 0.
+    fn rows<'a>(words: &'a [i32], vec_words: usize, masked: &'a RowMask) -> Rows<'a> {
+        Rows {
+            words,
+            vec_words,
+            first_id: 0,
+            masked,
+        }
+    }
+
     /// The bounded scan against its scalar twin, the full loop: with no
     /// cross-vault bound it returns exactly the full loop's entries, and
     /// with one it returns exactly the full loop's entries below it. For
     /// each metric, widths below, at and past one 16-word block, k up to
     /// a chained queue, spread and heavily tied words, and bounds at,
-    /// just above and below the full loop's values.
+    /// just above and below the full loop's values. With a mask, the full
+    /// loop is the sorted top-k of the unmasked rows and neither scan
+    /// reads a masked row.
     #[test]
     fn bounded_scan_keeps_exactly_the_full_loops_entries_below_theta() {
         let n = 40usize;
+        let mut every_third = RowMask::default();
+        for row in (0..n as u32).step_by(3) {
+            every_third.insert(row);
+        }
         for metric in [
             DeviceMetric::Euclidean,
             DeviceMetric::Manhattan,
@@ -458,29 +498,45 @@ mod tests {
                 let words: Vec<i32> = lcg_words(n * vw, vw as u64).iter().map(small).collect();
                 let query: Vec<i32> = lcg_words(vw, 7 + vw as u64).iter().map(small).collect();
                 assert!(cannot_wrap(metric, 2 * modulus as u64, vw));
-                for k in [1, 6, 17] {
-                    let mut pq = HardwarePriorityQueue::chained(2);
-                    let full = scan_shard(metric, &query, &words, vw, k, &mut pq).to_vec();
-                    let mut thetas = vec![None, Some(0), Some(i32::MAX)];
-                    for e in &full {
-                        thetas.extend([Some(e.value), Some(e.value + 1)]);
-                    }
-                    for theta in thetas {
-                        let (got, read) =
-                            scan_bounded(metric, &query, &words, vw, k, theta, &mut pq);
-                        let want: Vec<PqEntry> = full
-                            .iter()
-                            .filter(|e| theta.is_none_or(|t| e.value < t))
-                            .copied()
-                            .collect();
-                        assert_eq!(
-                            got,
-                            want.as_slice(),
-                            "{metric:?} vw={vw} k={k} theta={theta:?}"
-                        );
-                        assert!(read <= (n * vw) as u64);
-                        if theta.is_none() {
-                            assert!(read >= (k.min(n) * vw) as u64);
+                for masked in [&RowMask::default(), &every_third] {
+                    let live = n - masked.len();
+                    let mut sorted: Vec<(i32, i32)> = (0..n)
+                        .filter(|&r| !masked.contains(r as u32))
+                        .map(|r| {
+                            let cand = &words[r * vw..(r + 1) * vw];
+                            (raw_distance(metric, &query, cand), r as i32)
+                        })
+                        .collect();
+                    sorted.sort_unstable();
+                    for k in [1, 6, 17] {
+                        let mut pq = HardwarePriorityQueue::chained(2);
+                        let cand = rows(&words, vw, masked);
+                        let (full, read) = scan_shard(metric, &query, cand, k, &mut pq);
+                        let full = full.to_vec();
+                        let by_sort: Vec<(i32, i32)> =
+                            full.iter().map(|e| (e.value, e.id)).collect();
+                        assert_eq!(by_sort, sorted[..k.min(live)], "{metric:?} vw={vw} k={k}");
+                        assert_eq!(read, (live * vw) as u64);
+                        let mut thetas = vec![None, Some(0), Some(i32::MAX)];
+                        for e in &full {
+                            thetas.extend([Some(e.value), Some(e.value + 1)]);
+                        }
+                        for theta in thetas {
+                            let (got, read) = scan_bounded(metric, &query, cand, k, theta, &mut pq);
+                            let want: Vec<PqEntry> = full
+                                .iter()
+                                .filter(|e| theta.is_none_or(|t| e.value < t))
+                                .copied()
+                                .collect();
+                            assert_eq!(
+                                got,
+                                want.as_slice(),
+                                "{metric:?} vw={vw} k={k} theta={theta:?}"
+                            );
+                            assert!(read <= (live * vw) as u64);
+                            if theta.is_none() {
+                                assert!(read >= (k.min(live) * vw) as u64);
+                            }
                         }
                     }
                 }

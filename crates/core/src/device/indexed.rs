@@ -155,11 +155,6 @@ impl IndexedSsamDevice {
         self.telemetry = Some(sink.clone());
     }
 
-    /// Stops recording telemetry.
-    pub fn detach_telemetry(&mut self) {
-        self.telemetry = None;
-    }
-
     /// Approximate kNN: every vault traverses its tree near-first and
     /// scans up to `leaf_budget` buckets; the host merges per-vault
     /// results. Larger budgets converge on exact search (the Fig. 2

@@ -61,11 +61,11 @@ pub struct SsamConfig {
     /// A/B escape hatch used by the differential tests and
     /// `serve_load --no-opt`.
     pub optimize_kernels: bool,
-    /// Execute eligible queries through the analytic fast path
-    /// ([`fastpath`]): distances computed host-side, counters synthesized
-    /// by the static cost model, selection through the same hardware
-    /// priority queue — bit-identical results without per-instruction
-    /// interpretation. Applies to the hardware-queue Euclidean /
+    /// Execute eligible queries through the analytic fast path (the
+    /// `fastpath` module): distances computed host-side, counters
+    /// synthesized by the static cost model, selection through the same
+    /// hardware priority queue — bit-identical results without
+    /// per-instruction interpretation. Applies to the hardware-queue Euclidean /
     /// Manhattan / Hamming kernels; cosine and software-queue queries
     /// fall back to the cycle simulator per query. Default `false` (the
     /// simulator remains authoritative; `serve_load --fast-path` and the
@@ -122,6 +122,47 @@ impl DeviceQuery<'_> {
             DeviceQuery::Cosine(_) => DeviceMetric::Cosine,
             DeviceQuery::Hamming(_) => DeviceMetric::Hamming,
         }
+    }
+}
+
+/// Rows of a loaded dataset, by device id, that
+/// [`SsamDevice::query_batch_masked`] leaves out of every answer: a
+/// bitset that grows as rows are added.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RowMask {
+    bits: Vec<u64>,
+    len: usize,
+}
+
+impl RowMask {
+    /// Adds `row`; returns `false` when it was already in the mask.
+    pub fn insert(&mut self, row: u32) -> bool {
+        let (word, bit) = (row as usize / 64, row % 64);
+        if self.bits.len() <= word {
+            self.bits.resize(word + 1, 0);
+        }
+        let fresh = self.bits[word] >> bit & 1 == 0;
+        self.bits[word] |= 1 << bit;
+        self.len += usize::from(fresh);
+        fresh
+    }
+
+    /// Whether `row` is in the mask.
+    #[inline(always)]
+    pub fn contains(&self, row: u32) -> bool {
+        self.bits
+            .get(row as usize / 64)
+            .is_some_and(|w| w >> (row % 64) & 1 != 0)
+    }
+
+    /// Rows in the mask.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the mask holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 }
 
@@ -247,9 +288,9 @@ pub struct SsamDevice {
     fault_scope: u64,
     /// Monotonic query counter keying per-(query, vault) fault decisions.
     query_seq: u64,
-    /// Words the fast path's scans have read: a work count, not a
-    /// timing, for the unit test that gates early abandoning.
-    fast_words: u64,
+    /// Words the fast path's scans have read (see
+    /// [`SsamDevice::words_read`]).
+    words_read: u64,
 }
 
 impl SsamDevice {
@@ -275,7 +316,7 @@ impl SsamDevice {
             faults: None,
             fault_scope: 0,
             query_seq: 0,
-            fast_words: 0,
+            words_read: 0,
         }
     }
 
@@ -313,10 +354,11 @@ impl SsamDevice {
             .collect()
     }
 
-    /// Words the fast path's scans have read since the device was built.
-    #[cfg(test)]
-    fn fast_words(&self) -> u64 {
-        self.fast_words
+    /// Stored words the fast path's scans have read since the device was
+    /// built: a count of host work, not a timing, so work gates hold on
+    /// any host. Simulator runs and masked rows add nothing.
+    pub fn words_read(&self) -> u64 {
+        self.words_read
     }
 
     /// Device configuration.
@@ -563,6 +605,9 @@ impl SsamDevice {
     /// The batch-level account in [`BatchResult::timing`] additionally
     /// pipelines each vault's runs over a single provisioning decision.
     ///
+    /// This is [`SsamDevice::query_batch_masked`] with no row masked and
+    /// no cut.
+    ///
     /// # Errors
     /// Returns [`SimError::EmptyBatch`] for an empty query slice and
     /// [`SimError::ZeroK`] for `k == 0` — degenerate requests are typed
@@ -578,6 +623,41 @@ impl SsamDevice {
         queries: &[DeviceQuery<'_>],
         k: usize,
     ) -> Result<BatchResult, SimError> {
+        self.query_batch_masked(queries, k, &RowMask::default(), &[])
+    }
+
+    /// [`SsamDevice::query_batch`] for a caller that filters the device's
+    /// rows on the host, as the mutable store does with its superseded
+    /// rows. Each query's neighbors are the exact top-k, in
+    /// `(distance, id)` order, of the rows outside `masked` whose raw
+    /// distance word is below the query's entry in `cuts` (empty, or one
+    /// entry per query; `None` cuts nothing).
+    ///
+    /// The modeled device has no mask. It runs each query as
+    /// `query_batch(queries, k + masked.len())` would, returning that
+    /// many entries per vault so that a host filter can drop the masked
+    /// rows and still hold k. Every modeled quantity is that call's:
+    /// kernel choice, the simulator's budget and queue, link bytes, merge
+    /// time, fault settlement, `RunStats`, timing, energy and the
+    /// telemetry records' `k`. Only host work changes: fast-path cells
+    /// skip masked rows unread, keep a k-entry queue, and abandon a
+    /// candidate once its partial sum reaches its query's cut, as they do
+    /// at the cross-vault bound (DESIGN §11); simulator cells drop masked
+    /// and cut entries before the merge.
+    ///
+    /// # Errors
+    /// As [`SsamDevice::query_batch`].
+    ///
+    /// # Panics
+    /// As [`SsamDevice::query_batch`], and if `cuts` is neither empty nor
+    /// one entry per query.
+    pub fn query_batch_masked(
+        &mut self,
+        queries: &[DeviceQuery<'_>],
+        k: usize,
+        masked: &RowMask,
+        cuts: &[Option<i32>],
+    ) -> Result<BatchResult, SimError> {
         assert!(!self.is_empty(), "no dataset loaded");
         if queries.is_empty() {
             return Err(SimError::EmptyBatch);
@@ -585,7 +665,14 @@ impl SsamDevice {
         if k == 0 {
             return Err(SimError::ZeroK);
         }
+        assert!(
+            cuts.is_empty() || cuts.len() == queries.len(),
+            "one cut per query"
+        );
         let payload = self.payload.expect("dataset loaded");
+        // The k the model accounts: the over-fetch that drops masked rows
+        // after the device.
+        let model_k = k + masked.len();
 
         // Stage every query up front; queries of one kernel share the
         // kernel cache's instruction image.
@@ -594,7 +681,7 @@ impl SsamDevice {
             .iter()
             .map(|q| {
                 let (words, norm) = self.stage_query(q, payload);
-                let CachedKernel { kernel, program } = self.kernel_for(q.metric(), k);
+                let CachedKernel { kernel, program } = self.kernel_for(q.metric(), model_k);
                 StagedQuery {
                     max_abs: words.iter().map(|w| w.unsigned_abs()).max().unwrap_or(0),
                     words,
@@ -634,16 +721,16 @@ impl SsamDevice {
         let use_hw = self.config.use_hw_queue;
         let fast_enabled = self.config.fast_path && use_hw;
         let vec_words = self.vec_words;
-        let pq_chain = k.div_ceil(PQUEUE_DEPTH);
+        let pq_chain = model_k.div_ceil(PQUEUE_DEPTH);
         // Generous runaway guard: the rolled chunk loop executes ~9
         // instructions per vector-length chunk plus per-vector
         // reduction/queue overhead (worst case: the software-queue
         // shifting loop).
-        let per_vec = 16 * self.vec_words as u64 + 64 * k as u64 + 2048;
+        let per_vec = 16 * self.vec_words as u64 + 64 * model_k as u64 + 2048;
         let swinit: Vec<i32> = if use_hw {
             Vec::new()
         } else {
-            (0..k).flat_map(|_| [i32::MAX, -1]).collect()
+            (0..model_k).flat_map(|_| [i32::MAX, -1]).collect()
         };
         let shards = &self.shards;
         let fast_stats = &mut self.fast_stats;
@@ -655,15 +742,22 @@ impl SsamDevice {
         // (query, vault) cell into its query's row.
         let mut rows: Vec<Vec<(Vec<Neighbor>, RunStats)>> =
             (0..batch).map(|_| Vec::with_capacity(n_vaults)).collect();
-        // One fast-path queue, reset per (query, vault) cell.
-        let mut pq = HardwarePriorityQueue::chained(pq_chain);
+        // One fast-path queue, reset per (query, vault) cell; it holds
+        // the k entries the host keeps.
+        let mut pq = HardwarePriorityQueue::chained(k.div_ceil(PQUEUE_DEPTH));
         // Per query, the k smallest raw values its kept fast-path cells
         // have returned: the cross-vault bound of early abandoning.
         let mut kept: Vec<Vec<i32>> = (0..batch).map(|_| Vec::with_capacity(k)).collect();
-        let mut fast_words = 0u64;
+        let mut words_read = 0u64;
         for (si, shard) in shards.iter().enumerate() {
             let n = shard.vectors as u64;
             let budget = 10_000u64 + n * per_vec;
+            let cand = fastpath::Rows {
+                words: &shard.words,
+                vec_words,
+                first_id: shard.first_id,
+                masked,
+            };
             // Built on the vault's first simulator fallback and recycled
             // (architectural-state reset plus query rewrite) for the rest
             // of the batch.
@@ -676,6 +770,8 @@ impl SsamDevice {
                     rows[qi].push((Vec::new(), RunStats::default()));
                     continue;
                 }
+                let cut = cuts.get(qi).copied().flatten();
+                let below_cut = |value: i32| cut.is_none_or(|t| value < t);
                 // Analytic fast path: host-side Q16.16 distances, the
                 // same hardware priority queue, counters from the static
                 // cost model — bit-identical to the simulator without
@@ -687,41 +783,36 @@ impl SsamDevice {
                         .entry((sq.metric, shard.vectors))
                         .or_insert_with(|| fastpath::synthesize_stats(&sq.program, vl, n));
                     if let Some(stats) = stats.filter(|s| s.instructions <= budget) {
-                        // Early abandoning against the query's
+                        // Early abandoning against the query's cut and
                         // cross-vault bound where no partial sum can
                         // wrap; the full loop everywhere else.
                         let max_abs = u64::from(shard.max_abs) + u64::from(sq.max_abs);
-                        let entries = if fastpath::cannot_wrap(sq.metric, max_abs, vec_words) {
-                            let theta = kept[qi].get(k - 1).copied();
-                            let (entries, read) = fastpath::scan_bounded(
-                                sq.metric,
-                                &sq.words,
-                                &shard.words,
-                                vec_words,
-                                k,
-                                theta,
-                                &mut pq,
-                            );
-                            fast_words += read;
-                            entries
-                        } else {
-                            fast_words += shard.words.len() as u64;
-                            fastpath::scan_shard(
-                                sq.metric,
-                                &sq.words,
-                                &shard.words,
-                                vec_words,
-                                k,
-                                &mut pq,
-                            )
-                        };
+                        let (entries, read) =
+                            if fastpath::cannot_wrap(sq.metric, max_abs, vec_words) {
+                                let theta = kept[qi].get(k - 1).copied().into_iter().chain(cut);
+                                fastpath::scan_bounded(
+                                    sq.metric,
+                                    &sq.words,
+                                    cand,
+                                    k,
+                                    theta.min(),
+                                    &mut pq,
+                                )
+                            } else {
+                                fastpath::scan_shard(sq.metric, &sq.words, cand, k, &mut pq)
+                            };
+                        words_read += read;
                         // A lost vault's entries never reach the merge,
-                        // so they must not tighten the bound.
+                        // so they must not tighten the bound. Entries at
+                        // or past the cut do not reach it either, but
+                        // folding them can only lift θ_q above the cut,
+                        // where the cut binds instead.
                         if !fg.is_some_and(|g| g[qi][si].lost()) {
                             fastpath::fold_kept(&mut kept[qi], entries, k);
                         }
                         let neighbors = entries
                             .iter()
+                            .filter(|e| below_cut(e.value))
                             .map(|e| {
                                 Neighbor::new(
                                     shard.first_id + e.id as u32,
@@ -751,7 +842,8 @@ impl SsamDevice {
                     .write_block(sq.kernel.layout.query_addr, &sq.words)
                     .expect("query fits scratchpad");
                 if !use_hw {
-                    // Initialize the software queue: k (MAX, -1) pairs.
+                    // Initialize the software queue: model_k (MAX, -1)
+                    // pairs.
                     pu.scratchpad_mut()
                         .write_block(sq.kernel.layout.swqueue_addr, &swinit)
                         .expect("queue fits scratchpad");
@@ -764,34 +856,34 @@ impl SsamDevice {
                 }
                 let stats = pu.run(budget)?;
 
+                // The host keeps a queue entry (local id, raw value) that
+                // is neither masked nor cut.
+                let keep = |local: i32, value: i32| {
+                    let id = shard.first_id + local as u32;
+                    (!masked.contains(id) && below_cut(value))
+                        .then(|| Neighbor::new(id, host_dist(payload, value)))
+                };
                 let neighbors: Vec<Neighbor> = if use_hw {
                     pu.pqueue()
                         .entries()
                         .iter()
-                        .take(k)
-                        .map(|e| {
-                            Neighbor::new(shard.first_id + e.id as u32, host_dist(payload, e.value))
-                        })
+                        .take(model_k)
+                        .filter_map(|e| keep(e.id, e.value))
                         .collect()
                 } else {
                     pu.scratchpad()
-                        .read_block(sq.kernel.layout.swqueue_addr, 2 * k)
+                        .read_block(sq.kernel.layout.swqueue_addr, 2 * model_k)
                         .expect("queue readable")
                         .chunks_exact(2)
                         .filter(|pair| pair[1] >= 0)
-                        .map(|pair| {
-                            Neighbor::new(
-                                shard.first_id + pair[1] as u32,
-                                host_dist(payload, pair[0]),
-                            )
-                        })
+                        .filter_map(|pair| keep(pair[1], pair[0]))
                         .collect()
                 };
                 rows[qi].push((neighbors, stats));
             }
         }
 
-        self.fast_words += fast_words;
+        self.words_read += words_read;
 
         // Per-query host-side global top-k reduction + serial-equivalent
         // timing, then the batch-level pipelined account.
@@ -806,7 +898,7 @@ impl SsamDevice {
                 .as_ref()
                 .map(|g| (base_seq + qi as u64, g[qi].as_slice()));
             let (timing, accounts, mut phases, frec) =
-                self.account_query(&vault_stats, k, fault_row);
+                self.account_query(&vault_stats, model_k, fault_row);
             // Merge per-vault candidates, dropping vaults whose results
             // were lost (outage, uncorrectable ECC, exhausted link
             // retries): the answer is exact over the covered fraction.
@@ -826,7 +918,7 @@ impl SsamDevice {
                     kind: RecordKind::Query,
                     label: staged[qi].kernel.name.clone(),
                     batch: 1,
-                    k,
+                    k: model_k,
                     pus_per_vault: timing.pus_per_vault,
                     vaults: accounts,
                     phases,
@@ -851,7 +943,7 @@ impl SsamDevice {
             .as_ref()
             .map(|g| (g.as_slice(), per_query_faults.as_slice()));
         let (timing, accounts, mut phases, batch_frec) =
-            self.account_batch(&per_query_stats, k, batch_faults);
+            self.account_batch(&per_query_stats, model_k, batch_faults);
         if let Some(sink) = &self.telemetry {
             for r in &query_records {
                 sink.record(r.clone());
@@ -862,7 +954,7 @@ impl SsamDevice {
                 kind: RecordKind::Batch,
                 label: format!("batch[{batch}]"),
                 batch,
-                k,
+                k: model_k,
                 pus_per_vault: timing.pus_per_vault,
                 vaults: accounts,
                 phases,
@@ -1810,7 +1902,7 @@ mod tests {
                     .collect();
                 dev.query_batch(&batch, 6).expect("fast batch");
             }
-            dev.fast_words()
+            dev.words_read()
         };
         let full = (QUERIES * N * 100) as u64;
         let read = words_read(&data.train, &data.queries);

@@ -329,7 +329,7 @@ pub fn cosine(dims: usize, vl: usize) -> Kernel {
 
 /// Section V-B ablation: Euclidean scan with a scratchpad-resident
 /// *software* priority queue instead of the hardware unit (see
-/// [`swqueue_insert`] for the queue protocol).
+/// `swqueue_insert` for the queue protocol).
 pub fn euclidean_swqueue(dims: usize, vl: usize, k: usize) -> Kernel {
     let dp = pad_to(dims, vl);
     let vlb = vl * 4;
@@ -400,7 +400,7 @@ pub fn hamming_swqueue(words: usize, vl: usize, k: usize) -> Kernel {
 }
 
 /// Cosine scan with the software priority queue. The distance lands in
-/// `s18` (see [`cosine_tail`]), so the insert emitter is pointed there.
+/// `s18` (see `cosine_tail`), so the insert emitter is pointed there.
 pub fn cosine_swqueue(dims: usize, vl: usize, k: usize) -> Kernel {
     let dp = pad_to(dims, vl);
     let vlb = vl * 4;

@@ -477,8 +477,9 @@ pub struct SegmentAccount {
     pub level: usize,
     /// Vectors resident in the segment (live at seal time).
     pub entries: usize,
-    /// Resident vectors since superseded by a newer version or tombstone
-    /// (the store's over-fetch margin for this segment).
+    /// Resident vectors since superseded by a newer version or tombstone.
+    /// Reads mask these rows out of the segment's scan, and its device
+    /// models them as an over-fetch of `k + stale` per vault.
     pub stale: usize,
     /// Bytes staged into this segment's vault shards.
     pub bytes: u64,

@@ -53,11 +53,6 @@ impl HmcModule {
         &self.config
     }
 
-    /// The active address map.
-    pub fn address_map(&self) -> AddressMap {
-        self.map
-    }
-
     /// Issues a read of `[addr, addr+len)` at time `now`, splitting across
     /// vaults per the address map. Returns completion time (all extents
     /// done).

@@ -102,11 +102,6 @@ impl KdForest {
         }
     }
 
-    /// Number of trees in the forest.
-    pub fn num_trees(&self) -> usize {
-        self.trees.len()
-    }
-
     /// Total leaves across all trees.
     pub fn num_leaves(&self) -> usize {
         self.trees

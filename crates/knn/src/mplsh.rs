@@ -103,11 +103,6 @@ impl MultiProbeLsh {
         }
     }
 
-    /// Number of non-empty buckets summed over tables.
-    pub fn num_buckets(&self) -> usize {
-        self.tables.iter().map(|t| t.buckets.len()).sum()
-    }
-
     /// Construction parameters.
     pub fn params(&self) -> MplshParams {
         self.params

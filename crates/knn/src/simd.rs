@@ -94,13 +94,6 @@ impl F32x8 {
         F32x8([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]])
     }
 
-    /// Lane-wise fused `self + a * b` (separate mul + add; no FMA, so
-    /// the scalar fallback rounds identically).
-    #[inline(always)]
-    pub fn mul_add(self, a: F32x8, b: F32x8) -> F32x8 {
-        self + a * b
-    }
-
     /// Lane-wise absolute value.
     #[inline(always)]
     pub fn abs(self) -> F32x8 {

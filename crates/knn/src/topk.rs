@@ -80,8 +80,11 @@ impl TopK {
     }
 
     /// Distance of the current k-th best, or `f32::INFINITY` while the
-    /// accumulator is not yet full. Candidates at or beyond this bound
-    /// cannot enter the result set — indexes use it to prune.
+    /// accumulator is not yet full. A candidate farther than this bound
+    /// cannot enter the result set; one exactly at it still enters when
+    /// its id is smaller than the k-th best's, since [`TopK::offer`]
+    /// breaks distance ties by id. Indexes that prune on it must
+    /// therefore prune strictly beyond it (`dist > bound`).
     pub fn bound(&self) -> f32 {
         if self.heap.len() < self.k {
             f32::INFINITY
@@ -137,6 +140,23 @@ mod tests {
         let out = t.into_sorted();
         let dists: Vec<f32> = out.iter().map(|n| n.dist).collect();
         assert_eq!(dists, vec![1.0, 2.0, 3.0]);
+    }
+
+    /// A candidate at the bound enters only with a smaller id than the
+    /// k-th best's; one beyond it never enters.
+    #[test]
+    fn a_tie_at_the_bound_enters_only_with_a_smaller_id() {
+        let mut t = TopK::new(2);
+        t.offer(4, 1.0);
+        t.offer(6, 3.0);
+        assert_eq!(t.bound(), 3.0);
+        assert!(!t.offer(7, 3.0), "a tie with a larger id stays out");
+        assert!(!t.offer(0, 3.5), "a farther candidate stays out");
+        assert_eq!(t.bound(), 3.0);
+        assert!(t.offer(5, 3.0), "a tie with a smaller id enters");
+        assert_eq!(t.bound(), 3.0);
+        let ids: Vec<u32> = t.into_sorted().iter().map(|n| n.id).collect();
+        assert_eq!(ids, vec![4, 5]);
     }
 
     #[test]

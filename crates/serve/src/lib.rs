@@ -420,8 +420,8 @@ pub enum DeviceAccount {
         energy_mj: f64,
         /// Segments that executed a device query.
         segments_scanned: usize,
-        /// Candidates returned by segments but suppressed as superseded
-        /// or tombstoned.
+        /// Stale rows (superseded or tombstoned) the scanned segments
+        /// masked out of the scan: the sum of their stale counts.
         suppressed: usize,
     },
 }

@@ -19,9 +19,8 @@
 //!   interleaving. The seal *decision* is itself WAL-logged, so replay
 //!   reproduces segment boundaries without re-running policy.
 //! * **Deletes / updates** — tombstones and newer versions supersede
-//!   older resident copies. Superseded segment entries are counted as
-//!   `stale`; queries over-fetch `k + stale` from each segment so the
-//!   post-suppression top-k is still exact.
+//!   older resident copies. A superseded segment row is marked in its
+//!   segment's stale-row mask, and reads skip it unread.
 //! * **Compaction** — when a level holds more than `fanout` segments,
 //!   [`Store::compact_step`] merges it into the next level, dropping
 //!   dead entries and purging fully-superseded tombstones. Compaction
@@ -39,14 +38,18 @@
 //! to the latest-sequence vector. A global index records, per uid, the
 //! winning sequence number and its location (memtable, a segment, or a
 //! tombstone); a resident copy is *visible* iff its `(uid, seq)` pair
-//! matches the index. Queries merge memtable and per-segment candidates
-//! through the shared deterministic `(distance, id)` order
-//! ([`ssam_knn::topk::TopK`]), suppressing invisible candidates — so a
-//! reader mid-compaction sees exactly the live set, never a duplicate
-//! and never a deleted vector. The `store_equivalence` proptests pin
-//! this down: at every point of a random insert/delete/seal/compact
-//! interleaving, [`Store::query`] is bit-identical to a fresh immutable
-//! device built from [`Store::live_set`].
+//! matches the index, and the segment rows that are not are exactly the
+//! ones in their segment's stale-row mask. A read fills one bounded
+//! top-k per query from the memtable, then from every segment in turn:
+//! each segment skips its masked rows and abandons any candidate whose
+//! raw distance has reached the query's running k-th, cut strictly in
+//! the shared deterministic `(distance, id)` order
+//! ([`ssam_knn::topk::TopK`]). So a reader mid-compaction sees exactly
+//! the live set, never a duplicate and never a deleted vector. The
+//! `store_equivalence` proptests pin this down: at every point of a
+//! random insert/delete/seal/compact interleaving, [`Store::query`] is
+//! bit-identical to a fresh immutable device built from
+//! [`Store::live_set`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,7 +64,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ssam_core::device::{raw_distance, DeviceMetric, DeviceQuery, SsamConfig, SsamDevice};
+use ssam_core::device::{
+    raw_distance, BatchResult, DeviceMetric, DeviceQuery, RowMask, SsamConfig, SsamDevice,
+};
 use ssam_core::sim::pu::SimError;
 use ssam_core::telemetry::{SegmentAccount, StoreAccount, Telemetry};
 use ssam_faults::{FaultPlan, FaultRecord};
@@ -226,8 +231,8 @@ pub struct StoreQueryResult {
     pub segments_scanned: usize,
     /// Memtable candidates scanned host-side.
     pub memtable_scanned: usize,
-    /// Candidates returned by segments but suppressed as superseded or
-    /// tombstoned (the over-fetch margin doing its job).
+    /// Stale rows (superseded or tombstoned) the scanned segments masked
+    /// out of the scan: the sum of their stale counts.
     pub suppressed: usize,
     /// Aggregate fault accounting across all segment queries, with the
     /// memtable scan counted as covered host work.
@@ -348,9 +353,56 @@ struct Segment {
     id: u64,
     entries: Vec<SegEntry>,
     device: SsamDevice,
-    /// Resident entries since superseded by a newer version or
-    /// tombstone — the query over-fetch margin.
-    stale: usize,
+    /// Rows (entry positions) since superseded by a newer version or a
+    /// tombstone. Reads mask them out of the scan.
+    stale: RowMask,
+}
+
+impl Segment {
+    /// Runs one device batch over this segment for queries whose running
+    /// top-k's are `tops`: stale rows are masked out, and each query is
+    /// cut at the first raw distance its current k-th rules out.
+    fn query_batch(
+        &mut self,
+        queries: &[DeviceQuery<'_>],
+        k: usize,
+        tops: &[TopK],
+    ) -> Result<BatchResult, SimError> {
+        let cuts: Vec<Option<i32>> = tops.iter().map(|t| raw_cut(t.bound())).collect();
+        self.device
+            .query_batch_masked(queries, k, &self.stale, &cuts)
+    }
+}
+
+/// The smallest raw Q16.16 distance whose [`Fix32::to_f32`] is strictly
+/// greater than `bound`, or `None` when there is none (a top-k not yet
+/// full has an infinite bound).
+///
+/// A candidate at or past this raw value has a float distance strictly
+/// beyond a full [`TopK`]'s bound, so it cannot enter whatever its uid.
+/// A candidate below it may tie the bound in `f32` and still enter with
+/// a smaller uid; uids do not ascend from one segment to the next, and
+/// `to_f32` maps many raw values above 2²⁴ to one float, so neither the
+/// bound itself nor its raw image is a safe cut. `to_f32` never
+/// decreases as the raw value grows, so a binary search over the 2³²
+/// raw values finds the cut in 32 steps.
+fn raw_cut(bound: f32) -> Option<i32> {
+    let above = |raw: i64| Fix32(raw as i32).to_f32() > bound;
+    // Invariant: `hi` is above the bound, and `lo` is not (or lies below
+    // every raw value).
+    let (mut lo, mut hi) = (i64::from(i32::MIN) - 1, i64::from(i32::MAX));
+    if !above(hi) {
+        return None;
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if above(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    Some(hi as i32)
 }
 
 /// The mutable vector store. Single-writer: all mutation and query
@@ -586,16 +638,21 @@ impl Store {
             .expect("index points at a resident segment")
     }
 
-    /// Counts one more superseded resident entry against segment `sid`.
-    fn bump_stale(&mut self, sid: u64) {
+    /// Marks `uid`'s row in segment `sid` stale: superseded by a newer
+    /// version or a tombstone.
+    fn mark_stale(&mut self, sid: u64, uid: u32) {
         let seg = self
             .levels
             .iter_mut()
             .flatten()
             .find(|s| s.id == sid)
             .expect("index points at a resident segment");
-        seg.stale += 1;
-        debug_assert!(seg.stale <= seg.entries.len());
+        let row = seg
+            .entries
+            .binary_search_by_key(&uid, |e| e.uid)
+            .expect("index points at a resident entry");
+        let fresh = seg.stale.insert(row as u32);
+        debug_assert!(fresh, "a row goes stale once");
     }
 
     fn apply_insert(&mut self, uid: u32, seq: u64, vector: Vec<f32>) {
@@ -623,7 +680,7 @@ impl Store {
             ..
         }) = old
         {
-            self.bump_stale(sid);
+            self.mark_stale(sid, uid);
         }
         self.memtable.insert(uid, sv);
     }
@@ -648,7 +705,7 @@ impl Store {
             Some(IndexEntry {
                 loc: Loc::Segment(sid),
                 ..
-            }) => self.bump_stale(sid),
+            }) => self.mark_stale(sid, uid),
             _ => {}
         }
     }
@@ -694,7 +751,7 @@ impl Store {
             id,
             entries,
             device,
-            stale: 0,
+            stale: RowMask::default(),
         });
         self.seals += 1;
         self.seal_seconds += started.elapsed().as_secs_f64();
@@ -761,7 +818,7 @@ impl Store {
                 id,
                 entries,
                 device,
-                stale: 0,
+                stale: RowMask::default(),
             });
         }
         // Tombstones whose uid is resident in no segment no longer
@@ -944,12 +1001,18 @@ impl Store {
     }
 
     /// Exact top-k over the visible set for a batch of queries, each
-    /// bit-identical to its own [`Store::query`]: every query scans the
-    /// memtable host-side through the device's own distance arithmetic,
-    /// each segment runs one device batch over all the queries,
-    /// over-fetched by its stale count, and candidates merge through the
-    /// shared `(distance, id)` order with invisible (superseded /
-    /// tombstoned) candidates suppressed.
+    /// bit-identical to its own [`Store::query`]. Every query scans the
+    /// memtable host-side through the device's own distance arithmetic.
+    /// Then each segment runs one device batch over all the queries
+    /// ([`SsamDevice::query_batch_masked`]) with its stale rows masked
+    /// out, and returns k rows per query. Each query's running k-th is
+    /// carried from the memtable through every segment as a raw cut, so
+    /// a segment abandons every candidate that could no longer enter
+    /// (DESIGN §11). Candidates merge through the shared `(distance,
+    /// uid)` order; the index visibility lookup still checks each
+    /// returned row. Segment devices model the over-fetch a host filter
+    /// would need (`k + stale` per vault), so timing, energy and faults
+    /// are those of that over-fetch.
     ///
     /// # Errors
     /// [`StoreError::ZeroK`], [`StoreError::UnsupportedMetric`] (only
@@ -966,16 +1029,10 @@ impl Store {
             return Ok(Vec::new());
         }
         let scanned = self.memtable.len();
-        let mut tops = Vec::with_capacity(queries.len());
-        for (q, metric) in linear {
-            let qwords = self.quantize(q);
-            let mut top = TopK::new(k);
-            for (&uid, sv) in &self.memtable {
-                let raw = raw_distance(metric, &qwords, &sv.words);
-                top.offer(uid, Fix32(raw).to_f32());
-            }
-            tops.push(top);
-        }
+        let mut tops: Vec<TopK> = linear
+            .iter()
+            .map(|&(q, metric)| self.scan_memtable(q, metric, k))
+            .collect();
         let mut out = vec![
             StoreQueryResult {
                 memtable_scanned: scanned,
@@ -989,11 +1046,10 @@ impl Store {
             queries.len()
         ];
         for seg in self.levels.iter_mut().flatten() {
-            // Over-fetch by the segment's stale count so the k best
-            // *visible* entries are guaranteed to be in the window.
-            let batch = seg.device.query_batch(queries, k + seg.stale)?;
+            let batch = seg.query_batch(queries, k, &tops)?;
             for ((r, top), result) in out.iter_mut().zip(&mut tops).zip(&batch.results) {
                 r.segments_scanned += 1;
+                r.suppressed += seg.stale.len();
                 r.device_seconds = r.device_seconds.max(result.timing.seconds);
                 r.energy_mj += result.timing.energy_mj;
                 // A fault-free run accounts nothing, as it does alone:
@@ -1011,8 +1067,6 @@ impl Store {
                         });
                     if visible {
                         top.offer(entry.uid, n.dist);
-                    } else {
-                        r.suppressed += 1;
                     }
                 }
             }
@@ -1021,6 +1075,20 @@ impl Store {
             r.neighbors = top.into_sorted();
         }
         Ok(out)
+    }
+
+    /// The memtable's top-k for one query, ranked by the device's own
+    /// Q16.16 distance arithmetic.
+    fn scan_memtable(&self, q: &[f32], metric: DeviceMetric, k: usize) -> TopK {
+        let qwords = self.quantize(q);
+        let mut top = TopK::new(k);
+        for (&uid, sv) in &self.memtable {
+            top.offer(
+                uid,
+                Fix32(raw_distance(metric, &qwords, &sv.words)).to_f32(),
+            );
+        }
+        top
     }
 
     /// The visible set, uid-ascending: `(uid, vector)` for every live
@@ -1087,7 +1155,7 @@ impl Store {
                     .iter()
                     .map(|seg| SnapSegment {
                         id: seg.id,
-                        stale: seg.stale,
+                        stale: seg.stale.len(),
                         entries: seg
                             .entries
                             .iter()
@@ -1123,7 +1191,7 @@ impl Store {
                     id: seg.id,
                     level,
                     entries: seg.entries.len(),
-                    stale: seg.stale,
+                    stale: seg.stale.len(),
                     bytes: (seg.entries.len() * self.vec_words * 4) as u64,
                 });
             }
@@ -1221,6 +1289,8 @@ pub struct Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn fast_config(dims: usize, capacity: usize, fanout: usize) -> StoreConfig {
         let mut c = StoreConfig::new(dims);
@@ -1490,5 +1560,261 @@ mod tests {
         let uids: Vec<u32> = live.iter().map(|(u, _)| *u).collect();
         assert_eq!(uids, vec![2, 9]);
         assert_eq!(live[0].1, vec![0.4, 0.4]);
+    }
+
+    /// Builds a fresh fast-path device over `store`'s live set, uid
+    /// ascending: the reference the exactness tests compare against, with
+    /// its result ids mapped back to uids.
+    fn rebuild(store: &Store) -> (SsamDevice, Vec<u32>) {
+        let live = store.live_set();
+        let mut vs = VectorStore::new(store.config().dims);
+        for (_, v) in &live {
+            vs.push(v);
+        }
+        let mut dev = SsamDevice::new(store.config().device);
+        dev.load_vectors(&vs);
+        (dev, live.iter().map(|(uid, _)| *uid).collect())
+    }
+
+    /// A 64-row segment over 32 vaults holds 2 rows per vault; updating
+    /// or deleting 40 of its uids leaves 40 stale rows, more than any
+    /// vault holds. Probing at every original vector puts each stale row
+    /// first in its segment, so a stale row either update or delete left
+    /// unmasked takes one of the segment's k places and the answer
+    /// differs from the rebuild.
+    #[test]
+    fn stale_rows_past_the_per_vault_length_are_masked_exactly() {
+        let mut store = Store::create(fast_config(4, 1_000, 4));
+        let vs = vecs(64 + 20, 4, 41);
+        for (uid, v) in vs[..64].iter().enumerate() {
+            store.insert(uid as u32, v).unwrap();
+        }
+        assert!(store.seal());
+        assert_eq!(store.config().device.hmc.vaults, 32);
+        for uid in 0..40u32 {
+            if uid % 2 == 0 {
+                store.insert(uid, &vs[64 + uid as usize / 2]).unwrap();
+            } else {
+                store.delete(uid).unwrap();
+            }
+        }
+        assert_eq!(store.levels[0][0].stale.len(), 40);
+        let (mut dev, uids) = rebuild(&store);
+        for probe in &vs[..64] {
+            for metric in [DeviceMetric::Euclidean, DeviceMetric::Manhattan] {
+                for k in [1, 2, 5] {
+                    let got = store.query(probe, metric, k).unwrap();
+                    assert_eq!(got.suppressed, 40);
+                    let want = dev.query(&linear_query(probe, metric).unwrap(), k).unwrap();
+                    let want: Vec<(u32, u32)> = want
+                        .neighbors
+                        .iter()
+                        .map(|n| (uids[n.id as usize], n.dist.to_bits()))
+                        .collect();
+                    let got: Vec<(u32, u32)> = got
+                        .neighbors
+                        .iter()
+                        .map(|n| (n.id, n.dist.to_bits()))
+                        .collect();
+                    assert_eq!(got, want, "{metric:?} k={k}");
+                }
+            }
+        }
+    }
+
+    /// Raw distances 2²⁴ and 2²⁴ + 1 both convert to 256.0. The memtable
+    /// holds uid 9 at the first and a segment holds uid 1 at the second:
+    /// the f32 distances tie, so the smaller uid wins. A cut at the f32
+    /// bound itself (`dist ≥ bound`), or at the raw image of the bound
+    /// plus one, would abandon uid 1 in the segment scan.
+    #[test]
+    fn an_f32_tie_above_two_to_the_24_raw_goes_to_the_smaller_uid() {
+        let (near, far) = (1i32 << 24, (1i32 << 24) + 1);
+        assert_eq!(Fix32(near).to_f32(), Fix32(far).to_f32());
+        for (metric, at_near, at_far) in [
+            (
+                DeviceMetric::Manhattan,
+                [256.0, 0.0],
+                [256.0, 1.0 / 65_536.0],
+            ),
+            (DeviceMetric::Euclidean, [16.0, 0.0], [16.0, 1.0 / 256.0]),
+        ] {
+            let mut store = Store::create(fast_config(2, 100, 4));
+            store.insert(1, &at_far).unwrap();
+            assert!(store.seal());
+            store.insert(9, &at_near).unwrap();
+            let r = store.query(&[0.0, 0.0], metric, 1).unwrap();
+            let got: Vec<(u32, f32)> = r.neighbors.iter().map(|n| (n.id, n.dist)).collect();
+            assert_eq!(got, vec![(1, 256.0)], "{metric:?}");
+        }
+    }
+
+    /// The cut is the first raw value whose float is strictly past the
+    /// bound, across the raw range and on both sides of 2²⁴.
+    #[test]
+    fn raw_cut_is_the_first_raw_value_strictly_past_the_bound() {
+        let f = |raw: i32| Fix32(raw).to_f32();
+        for bound in [
+            -40_000.0,
+            -1.0,
+            0.0,
+            1.0 / 65_536.0,
+            0.3,
+            255.999_98,
+            256.0,
+            256.000_03,
+            300.1,
+            32_767.998,
+            f(i32::MIN),
+        ] {
+            let cut = raw_cut(bound).expect("a raw value lies past the bound");
+            assert!(f(cut) > bound, "{bound}");
+            assert!(cut == i32::MIN || f(cut - 1) <= bound, "{bound}");
+        }
+        assert_eq!(raw_cut(256.0), Some((1 << 24) + 2));
+        assert_eq!(raw_cut(f(i32::MIN) - 1.0), Some(i32::MIN));
+        assert_eq!(raw_cut(f(i32::MAX)), None);
+        assert_eq!(raw_cut(f32::INFINITY), None);
+    }
+
+    /// A segment's masked call models the over-fetch a host filter
+    /// needs: per query the same timing (energy included), `vault_stats`
+    /// and fault record, and the same telemetry records, as the plain
+    /// call for `k + stale` on a clone of its device — with no fault plan
+    /// and with a chaos plan.
+    #[test]
+    fn masked_segment_scans_model_the_k_plus_stale_over_fetch() {
+        let probes = vecs(8, 4, 77);
+        let queries: Vec<DeviceQuery<'_>> = probes
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let metric = [DeviceMetric::Euclidean, DeviceMetric::Manhattan][i % 2];
+                linear_query(p, metric).unwrap()
+            })
+            .collect();
+        let k = 3;
+        for plan in [None, Some(Arc::new(FaultPlan::chaos(11)))] {
+            let mut store = Store::create(fast_config(4, 1_000, 4));
+            let vs = vecs(96, 4, 31);
+            for (uid, v) in vs[..64].iter().enumerate() {
+                store.insert(uid as u32, v).unwrap();
+            }
+            assert!(store.seal());
+            for (i, v) in vs[64..].iter().enumerate() {
+                store.insert(100 + i as u32, v).unwrap();
+            }
+            assert!(store.seal());
+            for uid in (0..64).step_by(3) {
+                store.delete(uid).unwrap();
+            }
+            for uid in 100..110 {
+                store.insert(uid, &vs[uid as usize - 90]).unwrap();
+            }
+            store.set_fault_plan(plan.clone());
+            let tops: Vec<TopK> = probes
+                .iter()
+                .zip(&queries)
+                .map(|(p, q)| store.scan_memtable(p, q.metric(), k))
+                .collect();
+            assert!(tops.iter().all(|t| t.bound().is_finite()));
+            let mut faulted = false;
+            for seg in store.levels.iter().flatten() {
+                let stale = seg.stale.len();
+                assert!(stale > 0);
+                let (mut masked, mut over) = (seg.clone(), seg.device.clone());
+                let (a, b) = (Telemetry::new(), Telemetry::new());
+                masked.device.attach_telemetry(&a);
+                over.attach_telemetry(&b);
+                let got = masked.query_batch(&queries, k, &tops).unwrap();
+                let want = over.query_batch(&queries, k + stale).unwrap();
+                for (g, w) in got.results.iter().zip(&want.results) {
+                    assert_eq!(g.timing, w.timing);
+                    assert_eq!(g.vault_stats, w.vault_stats);
+                    assert_eq!(g.faults, w.faults);
+                    faulted |= !g.faults.is_trivial();
+                }
+                assert_eq!(got.timing, want.timing);
+                assert_eq!(got.faults, want.faults);
+                let modeled = |sink: &Telemetry| {
+                    assert!(sink.violations().is_empty(), "{:?}", sink.violations());
+                    let mut records = sink.records();
+                    for r in &mut records {
+                        r.phases.stage_seconds = 0.0;
+                    }
+                    records
+                };
+                assert_eq!(modeled(&a), modeled(&b));
+            }
+            assert_eq!(faulted, plan.is_some());
+        }
+    }
+
+    /// The served shape, counted in words rather than timed: 1,200
+    /// GloVe stand-in vectors in a store with a 64-entry memtable and
+    /// fanout 4, churned by 4,000 seeded ops at the `store_mixed` write
+    /// mix (30% inserts and 10% deletes over 2,400 uids; the 60% reads
+    /// store nothing and are skipped) with compaction after each. Then
+    /// 256 Euclidean reads at k = 6 read no more segment words than one
+    /// device over the same live set reads for the same queries.
+    #[test]
+    fn store_reads_scan_no_more_words_than_one_device_over_the_live_set() {
+        const BASE: usize = 1_200;
+        const UIDS: u32 = 2_400;
+        const READS: usize = 256;
+        let mut spec =
+            ssam_datasets::PaperDataset::GloVe.scaled_spec((BASE + UIDS as usize) as f64 / 1.2e6);
+        spec.train = BASE + UIDS as usize;
+        spec.queries = READS;
+        spec.seed = 8;
+        let data = ssam_datasets::generator::generate(&spec);
+        let mut config = fast_config(100, 64, 4);
+        config.device.vector_length = 4;
+        let mut store = Store::create(config);
+        for uid in 0..BASE as u32 {
+            store.insert(uid, data.train.get(uid)).unwrap();
+            while store.compact_step() {}
+        }
+        let mut rng = StdRng::seed_from_u64(8);
+        for _ in 0..4_000 {
+            let (roll, uid) = (rng.random_range(0..10u32), rng.random_range(0..UIDS));
+            match roll {
+                0..=2 => {
+                    let payload = BASE as u32 + rng.random_range(0..UIDS);
+                    store.insert(uid, data.train.get(payload)).unwrap();
+                }
+                3 => {
+                    store.delete(uid).unwrap();
+                }
+                _ => {}
+            }
+            while store.compact_step() {}
+        }
+        let queries: Vec<DeviceQuery<'_>> = (0..READS as u32)
+            .map(|i| DeviceQuery::Euclidean(data.queries.get(i)))
+            .collect();
+        let segment_words = |store: &Store| -> u64 {
+            store
+                .levels
+                .iter()
+                .flatten()
+                .map(|s| s.device.words_read())
+                .sum()
+        };
+        let before = segment_words(&store);
+        for batch in queries.chunks(16) {
+            store.query_batch(batch, 6).unwrap();
+        }
+        let store_words = segment_words(&store) - before;
+        let (mut dev, _) = rebuild(&store);
+        for batch in queries.chunks(16) {
+            dev.query_batch(batch, 6).unwrap();
+        }
+        let device_words = dev.words_read();
+        assert!(
+            store_words <= device_words,
+            "segments read {store_words} words, one device {device_words} ({:.3})",
+            store_words as f64 / device_words as f64
+        );
     }
 }
